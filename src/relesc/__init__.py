@@ -12,9 +12,8 @@ from .divisors import (Divisor, Estimate, MinCritMap, critical_divisor,
                        delta_estimate, delta_relative_critical, lambda_local,
                        mu_local, pullback_map, pullback_translation,
                        pushforward_map, unicritical_map)
-from .forms import (CyclotomicPoly, HomogeneousForm, compose_linear,
-                    form_product, power_pullback, power_pushforward,
-                    slice_form)
+from .forms import (HomogeneousForm, compose_linear, form_product,
+                    power_pullback, power_pushforward, slice_form)
 from .harness import (LEMMA_IDS, CheckResult, Profile, check,
                       default_profiles, random_instance, run_suite)
 from .heights import (GlobalEstimate, good_reduction, height_divisor,
@@ -31,7 +30,7 @@ from .unicritical import (UnicriticalMap, cross_check, escape_rate_oracle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitBudgetError", "CheckResult", "CyclotomicPoly", "Divisor",
+    "BitBudgetError", "CheckResult", "Divisor",
     "DomainError", "Estimate", "GlobalEstimate", "HomogeneousForm", "INF",
     "InternalError", "LEMMA_IDS", "LocalLog", "MinCritMap", "Place",
     "PlaceConstants", "Profile", "UnicriticalMap", "UsageError", "check",

@@ -20,7 +20,9 @@ import numpy as np
 
 from .divisors import Divisor, MinCritMap, critical_divisor, delta_estimate
 from .harness import LEMMA_IDS, Profile, run_suite
-from .heights import good_reduction, relative_critical_height, thm_main_bounds
+from .heights import (GlobalEstimate, default_k, good_reduction,
+                      padic_k_default, relative_critical_height,
+                      thm_main_bounds)
 from .places import INF, Place, set_precision
 from .rational import DomainError, UsageError
 from .unicritical import UnicriticalMap, is_pcf
@@ -80,21 +82,20 @@ def cmd_critical_height(args) -> int:
     if args.places == "auto":
         rch = relative_critical_height(f, args.iters)
     else:
-        tokens = [t for t in args.places.split(",") if t]
+        k = default_k(f.N) if args.iters is None else args.iters
+        C = critical_divisor(f)
+        places = [Place.parse(t) for t in args.places.split(",") if t]
         value = mp.mpf(0)
         err = mp.mpf(0)
-        C = critical_divisor(f)
-        places = [Place.parse(t) for t in tokens]
-        from .heights import padic_k_default
+        per_place = {}
         for v in places:
-            k_v = args.iters if v.is_arch else min(
-                args.iters, padic_k_default(f.N, f.d, C.degree))
+            k_v = k if v.is_arch else min(k, padic_k_default(f.N, f.d, C.degree))
             est = delta_estimate(f, C, k_v, v)
+            per_place[repr(v)] = est
             value += est.value.to_mpf()
             err += est.error.to_mpf()
-        from .heights import GlobalEstimate
         rch = GlobalEstimate(value=value, error=err, places_iterated=places,
-                             k=args.iters, mode="explicit-places")
+                             k=k, mode="explicit-places", per_place=per_place)
     rep = thm_main_bounds(f, rch=rch)
     out = {
         "config": {
@@ -108,6 +109,7 @@ def cmd_critical_height(args) -> int:
         "upper_bound": _fmt(rep["upper_bound"], args.digits),
         "verdict": rep["verdict"],
         "warnings": rch.warnings,
+        "per_place": rch.to_json_dict(args.digits)["per_place"],
     }
     _emit(out, args.out)
     return EXIT_NEGATIVE if rep["verdict"] == "violation" else EXIT_OK

@@ -5,14 +5,14 @@ entries summing to the degree) to nonzero Fractions.  The operations here
 are the ones the divisor calculus is built from: products, substitution by
 an invertible matrix, pull-back under the coordinate power map
 phi(X) = (X_1^d : ... : X_n^d), and the push-forward under phi, which is
-computed as an exact roots-of-unity product.
+computed as an exact norm: a circulant determinant of the residue classes
+of exponents mod d, one variable at a time.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .rational import (InternalError, UsageError, det_exact, parse_rational,
@@ -178,17 +178,22 @@ def _dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _acc_add(acc: dict, extra: dict, scale=1) -> dict:
+    """acc += scale * extra in place, dropping zeros; returns acc."""
+    if scale != 1:
+        extra = {k: scale * v for k, v in extra.items()}
+    for k, v in extra.items():
+        s = acc.get(k, 0) + v
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
+    return acc
+
+
 def _subst_raw(terms: dict, rows: list[dict], n: int) -> dict:
     """Substitute the linear forms rows[i] for variable i in a sparse
     polynomial, by nested Horner; exact for any coefficient type."""
-
-    def _acc_add(acc: dict, extra: dict) -> None:
-        for k, v in extra.items():
-            s = acc.get(k, 0) + v
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
 
     def subst(sub_terms: dict, var: int) -> dict:
         if var == n:
@@ -276,159 +281,121 @@ def slice_form(F: HomogeneousForm, k: int) -> HomogeneousForm:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic carrier for the push-forward product
+# push-forward: the norm of the residue-class split
 # ---------------------------------------------------------------------------
+#
+# Monomials are packed into one integer, sum_i e_i * base^i, with base above
+# every exponent that can occur, so a monomial product is an integer sum.
 
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of the d-th cyclotomic polynomial."""
-    # (t^d - 1) divided by the product of Phi_e for proper divisors e of d;
-    # every divisor in the chain is monic, so the arithmetic stays in Z
-    num = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            num = _polydiv_monic(num, list(cyclotomic_coeffs(e)))
-    return tuple(num)
+def _packed_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def _polydiv_monic(num: list[int], den: list[int]) -> list[int]:
-    if den[-1] != 1:
-        raise InternalError("cyclotomic divisor is not monic")
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q = num[i + len(den) - 1]
-        out[i] = q
-        if q:
-            for j, dc in enumerate(den):
-                num[i + j] -= q * dc
-    if any(num):
-        raise InternalError("inexact cyclotomic division")
+def _packed_square(a: dict) -> dict:
+    """a^2 over the pairs i <= j only."""
+    items = list(a.items())
+    out: dict = {}
+    for i, (ea, ca) in enumerate(items):
+        out[ea + ea] = out.get(ea + ea, 0) + ca * ca
+        ca2 = ca + ca
+        for eb, cb in items[i + 1:]:
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca2 * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _packed_dot(xs, ys) -> dict:
+    acc: dict = {}
+    for x, y in zip(xs, ys):
+        _acc_add(acc, _packed_mul(x, y))
+    return acc
+
+
+def _berkowitz_det(M: list[list[dict]]) -> dict:
+    """det M without division, as the constant term of the characteristic
+    polynomial by Berkowitz's algorithm (IPL 1984): the polynomial of each
+    trailing block M[k:, k:] is a lower-triangular Toeplitz matrix, with
+    first column 1, -a, -R C, -R B C, -R B^2 C, ..., times the polynomial
+    of the block below it."""
+    n = len(M)
+    one = {0: 1}
+    charpoly = [one, _acc_add({}, M[-1][-1], -1)]
+    for k in range(n - 2, -1, -1):
+        row, col = M[k][k + 1:], [r[k] for r in M[k + 1:]]
+        block = [r[k + 1:] for r in M[k + 1:]]
+        toeplitz = [one, _acc_add({}, M[k][k], -1)]
+        for i in range(n - 1 - k):
+            if i:
+                col = [_packed_dot(r, col) for r in block]
+            toeplitz.append(_acc_add({}, _packed_dot(row, col), -1))
+        charpoly = [_packed_dot(toeplitz[i::-1], charpoly[:i + 1])
+                    for i in range(len(charpoly) + 1)]
+    return charpoly[-1] if n % 2 == 0 else _acc_add({}, charpoly[-1], -1)
+
+
+def _circulant_det(parts: list[dict]) -> dict:
+    """det circ(P_0, ..., P_{p-1}) = prod over zeta in mu_p of
+    sum_r zeta^r P_r: closed forms for p = 2, 3, Berkowitz otherwise."""
+    p = len(parts)
+    if p == 2:
+        return _acc_add(_packed_square(parts[0]), _packed_square(parts[1]), -1)
+    if p == 3:
+        out: dict = {}
+        for P in parts:
+            _acc_add(out, _packed_mul(_packed_square(P), P))
+        return _acc_add(out, _packed_mul(_packed_mul(parts[0], parts[1]), parts[2]), -3)
+    return _berkowitz_det([[parts[(j - i) % p] for j in range(p)] for i in range(p)])
+
+
+def _prime_divisors(d: int) -> list[int]:
+    """The primes of d with multiplicity, ascending."""
+    out, p = [], 2
+    while d > 1:
+        while d % p == 0:
+            out.append(p)
+            d //= p
+        p += 1
     return out
 
 
-class CyclotomicPoly:
-    """Element of Q[t]/(t^d - 1), the carrier ring for root-of-unity twists.
-
-    Arithmetic reduces exponents mod d (cyclic convolution).  Rationality
-    of a result is decided in the primitive component: the vector is
-    reduced mod Phi_d(t), where t genuinely ranges over primitive d-th
-    roots, and the reduction must be a constant.  (Reducing mod t^d - 1
-    alone is not enough: the components at non-primitive roots of unity
-    retain junk from partial twist products.)
-    """
-
-    __slots__ = ("d", "coeffs")
-
-    def __init__(self, d: int, coeffs: Sequence):
-        if len(coeffs) != d:
-            raise UsageError("coefficient vector must have length d")
-        self.d = d
-        self.coeffs = tuple(coeffs)  # int or Fraction entries, kept as given
-
-    @staticmethod
-    def constant(d: int, c) -> "CyclotomicPoly":
-        return CyclotomicPoly(d, (c,) + (0,) * (d - 1))
-
-    @staticmethod
-    def root_power(d: int, j: int) -> "CyclotomicPoly":
-        v = [0] * d
-        v[j % d] = 1
-        return CyclotomicPoly(d, v)
-
-    def __mul__(self, other: "CyclotomicPoly") -> "CyclotomicPoly":
-        d = self.d
-        out = [0] * d
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % d] += a * b
-        return CyclotomicPoly(d, out)
-
-    def __add__(self, other: "CyclotomicPoly") -> "CyclotomicPoly":
-        return CyclotomicPoly(self.d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def is_zero_vector(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def reduce_primitive(self) -> list:
-        """Remainder of the vector mod Phi_d(t), ascending coefficients.
-        Phi_d is monic over Z, so no division is ever needed."""
-        phi = cyclotomic_coeffs(self.d)
-        rem = list(self.coeffs)
-        deg_phi = len(phi) - 1
-        for i in range(len(rem) - 1, deg_phi - 1, -1):
-            q = rem[i]
-            if q:
-                for j, pc in enumerate(phi):
-                    rem[i - deg_phi + j] -= q * pc
-        return rem[:deg_phi]
-
-    def rational(self):
-        """The rational value, if this element is rational in the primitive
-        component; raises InternalError otherwise."""
-        rem = self.reduce_primitive()
-        if any(rem[1:]):
-            raise InternalError(f"cyclotomic coordinate not rational: {rem}")
-        return rem[0] if rem else 0
-
-    def is_rational_zero(self) -> bool:
-        rem = self.reduce_primitive()
-        return not any(rem)
-
-
 def pushforward_terms(terms: dict, d: int, n: int) -> dict:
-    """Raw-terms phi_* product (see power_pushforward); coefficient type is
-    preserved, so integer inputs stay in Z throughout."""
-    N = n - 1  # twisted variables
-    cur = dict(terms)
-    for var in range(N):
-        if d == 2:
-            # the only twist is X_var -> -X_var; no cyclotomic carrier needed
-            twisted = {e: (-c if (e[var] & 1) else c) for e, c in cur.items()}
-            nxt = _dict_mul(cur, twisted)
-            cur = {}
-            for e, c in nxt.items():
-                if e[var] & 1:
-                    raise InternalError(
-                        f"push-forward kept odd exponent {e[var]} of X{var+1}")
-                cur[e] = c
-            continue
-        acc: dict[ExpTuple, CyclotomicPoly] = {
-            e: CyclotomicPoly.constant(d, c) for e, c in cur.items()
-        }
-        for j in range(1, d):
-            twisted = {
-                e: CyclotomicPoly.root_power(d, j * e[var]) * CyclotomicPoly.constant(d, c)
-                for e, c in cur.items()
-            }
-            nxt: dict[ExpTuple, CyclotomicPoly] = {}
-            for ea, ca in acc.items():
-                for eb, cb in twisted.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    prod = ca * cb
-                    if e in nxt:
-                        nxt[e] = nxt[e] + prod
-                    else:
-                        nxt[e] = prod
-            acc = {e: c for e, c in nxt.items() if not c.is_zero_vector()}
-        cur = {}
-        for e, c in acc.items():
-            if c.is_rational_zero():
-                continue
-            val = c.rational()  # raises InternalError when not rational
-            if e[var] % d != 0:
-                raise InternalError(
-                    f"push-forward produced exponent {e[var]} not divisible by {d}"
-                )
-            cur[e] = val
+    """Raw-terms phi_* product of the terms of a homogeneous form in n
+    variables (see power_pushforward); coefficient type is preserved, so
+    integer inputs stay in Z throughout."""
+    if not terms:
+        return {}
+    base = sum(next(iter(terms))) * d ** (n - 1) + 1
+    cur = {}
+    for exps, c in terms.items():
+        key = 0
+        for e in reversed(exps):
+            key = key * base + e
+        cur[key] = c
+    primes = _prime_divisors(d)
+    for var in range(n - 1):  # X_n is not twisted
+        shift, stride = base ** var, 1
+        for p in primes:
+            # F(zeta x) = sum_r zeta^r P_r, P_r the terms whose exponent of x,
+            # over the stride pushed forward so far, is r mod p
+            parts: list[dict] = [{} for _ in range(p)]
+            for key, c in cur.items():
+                parts[key // shift % base // stride % p][key] = c
+            cur = _circulant_det(parts)
+            stride *= p
     out = {}
-    for e, c in cur.items():
-        if any(x % d for x in e):
-            raise InternalError(f"push-forward exponents {e} not divisible by {d}")
-        out[tuple(x // d for x in e)] = c
+    for key, c in cur.items():
+        exps = []
+        for _ in range(n):
+            key, e = divmod(key, base)
+            if e % d:
+                raise InternalError(f"push-forward exponent {e} not divisible by {d}")
+            exps.append(e // d)
+        out[tuple(exps)] = c
     return out
 
 
@@ -438,11 +405,15 @@ def power_pushforward(F: HomogeneousForm, d: int) -> HomogeneousForm:
     Returns the unique G with
         G(X_1^d, ..., X_n^d) = prod over all tuples zeta in mu_d^{n-1} of
                                F(zeta_1 X_1, ..., zeta_{n-1} X_{n-1}, X_n).
-    The product is taken one variable at a time in the cyclotomic carrier
-    Q[t]/(t^d - 1) (a plain sign twist when d = 2); after each variable
-    the coefficients must come out rational -- in the primitive component,
-    i.e. mod Phi_d(t) -- and the matching exponents must be multiples of d
-    (each stage is a full Galois-stable product).  Any residue signals an
+    The product is taken one twisted variable x at a time, as a norm: with
+    F = sum_r P_r, where P_r holds the terms whose exponent of x is r mod d,
+    prod over zeta in mu_d of F(zeta x) is the circulant determinant
+    det circ(P_0, ..., P_{d-1}).  It is P_0^2 - P_1^2 for d = 2 and
+    P_0^3 + P_1^3 + P_2^3 - 3 P_0 P_1 P_2 for d = 3, composite d is done
+    prime by prime (the mu_{ab} norm is the mu_b norm of the mu_a norm),
+    and any other prime takes Berkowitz's division-free determinant.  No
+    step divides, so integer coefficients stay integers, and every output
+    exponent must be a multiple of d; any other exponent signals an
     implementation bug and aborts.
     """
     if d < 2:

@@ -30,12 +30,12 @@ from . import places as _places
 from .divisors import (Divisor, MinCritMap, critical_divisor, delta_estimate,
                        lambda_local, mu_local, pullback_translation,
                        pushforward_map)
-from .forms import (HomogeneousForm, form_product, power_pullback,
-                    power_pushforward, slice_form)
+from .forms import (HomogeneousForm, compose_linear, form_product,
+                    power_pullback, power_pushforward, slice_form)
 from .heights import thm_main_bounds
 from .places import (ARCH_SLACK, INF, LocalLog, Place, gauss_norm_log,
                      local_min, log_abs, log_plus_int, matrix_lambda,
-                     matrix_norm_log, matrix_xi)
+                     matrix_norm_log, matrix_xi, vector_norm_log)
 from .rational import UsageError, support_primes
 
 LEMMA_IDS = (
@@ -520,7 +520,6 @@ def _check_linear_pull(inst: Instance) -> CheckResult:
     f = inst.f
     D = inst.divisors[0]
     consts, diff_norm, lam_L, lam_A = _linear_bounds(inst, v)
-    from .forms import compose_linear
     pulled = Divisor(compose_linear(D.form, f.L))
     lhs = lambda_local(pulled, v) - lambda_local(D, v)
     upper = (diff_norm + lam_A + consts.c2).scaled(D.degree) + consts.c1
@@ -537,7 +536,6 @@ def _check_linear_push(inst: Instance) -> CheckResult:
     f = inst.f
     D = inst.divisors[0]
     consts, diff_norm, lam_L, lam_A = _linear_bounds(inst, v)
-    from .forms import compose_linear
     pushed = Divisor(compose_linear(D.form, f.L_inv))
     lhs = lambda_local(pushed, v) - lambda_local(D, v)
     upper = (diff_norm + lam_L + consts.c2).scaled(D.degree) + consts.c1
@@ -553,7 +551,6 @@ def _check_tc_mu(inst: Instance) -> CheckResult:
     v = inst.place
     f = inst.f
     D = inst.big_divisor
-    from .places import vector_norm_log
     mu = mu_local(D, v)
     consts = _places.place_constants(f.N, f.d, v)
     norm_c = vector_norm_log(f.b, v).log_plus()
@@ -575,7 +572,6 @@ def _check_tc_mu(inst: Instance) -> CheckResult:
 def _key_gate(inst: Instance, v: Place):
     f = inst.f
     D = inst.big_divisor
-    from .places import vector_norm_log
     consts = _places.place_constants(f.N, f.d, v)
     mu = mu_local(D, v)
     gate = (vector_norm_log(f.b, v).log_plus() + consts.c3 + consts.c5
@@ -591,7 +587,6 @@ def _check_key_mu(inst: Instance) -> CheckResult:
     met, mu, consts = _key_gate(inst, v)
     if not met:
         return _result("KEY_MU", inst.seed, [], vacuous=True)
-    from .forms import compose_linear
     pushed = Divisor(compose_linear(D.form, f.L_inv))
     lhs = mu_local(pushed, v)
     rhs = (mu - log_plus_int(D.degree, v) - log_plus_int(2, v)
@@ -608,7 +603,6 @@ def _check_key_lambda(inst: Instance) -> CheckResult:
     met, mu, consts = _key_gate(inst, v)
     if not met:
         return _result("KEY_LAMBDA", inst.seed, [], vacuous=True)
-    from .forms import compose_linear
     pushed = Divisor(compose_linear(D.form, f.L_inv))
     lam_push = lambda_local(pushed, v)
     lam = lambda_local(D, v)
@@ -626,7 +620,6 @@ def _check_key_lambda(inst: Instance) -> CheckResult:
 def _basin_gates(inst: Instance, v: Place):
     f = inst.f
     N, d = f.N, f.d
-    from .places import vector_norm_log
     consts = _places.place_constants(N, d, v)
     xi = matrix_xi(f.A, v)
     norm_b = vector_norm_log(f.b, v).log_plus()
@@ -707,7 +700,6 @@ def _check_crit_lower(inst: Instance) -> CheckResult:
     v = inst.place
     f = inst.f
     N, d = f.N, f.d
-    from .places import vector_norm_log
     consts = _places.place_constants(N, d, v)
     k = inst.profile.k_arch if v.is_arch else inst.profile.k_padic
     est = inst.delta(critical_divisor(f), k, v)
@@ -723,7 +715,6 @@ def _check_crit_upper(inst: Instance) -> CheckResult:
     v = inst.place
     f = inst.f
     N, d = f.N, f.d
-    from .places import vector_norm_log
     k = inst.profile.k_arch if v.is_arch else inst.profile.k_padic
     est = inst.delta(critical_divisor(f), k, v)
     rhs = (N * (N + 2) * vector_norm_log(f.b, v).log_plus().to_mpf()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import mpmath as mp
 
@@ -26,6 +26,11 @@ from .rational import (BitBudgetError, DomainError, UsageError, content,
 
 PADIC_K_MAX = {1: 8, 2: 5}
 PADIC_DEGREE_CAP = 32
+
+
+def default_k(N: int) -> int:
+    """Truncation depth used when none is given: 20 for N=1, 5 for N >= 2."""
+    return 20 if N == 1 else 5
 
 
 def padic_k_default(N: int, d: int, deg: int) -> int:
@@ -95,15 +100,10 @@ def point_height(b):
     coords = [Fraction(1)] + [Fraction(x) for x in b]
     den = 1
     for x in coords:
-        den = den * x.denominator // _gcd(den, x.denominator)
+        den = den * x.denominator // gcd(den, x.denominator)
     ints = [int(x * den) for x in coords]
     g = content(ints)
     return _log_int(max(abs(i) for i in ints) // g)
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def matrix_height(A):
@@ -114,7 +114,7 @@ def matrix_height(A):
         raise UsageError("zero matrix has no projective height")
     den = 1
     for x in entries:
-        den = den * x.denominator // _gcd(den, x.denominator)
+        den = den * x.denominator // gcd(den, x.denominator)
     ints = [int(x * den) for x in entries]
     g = content(ints)
     return _log_int(max(abs(i) for i in ints) // g)
@@ -126,7 +126,10 @@ def matrix_height(A):
 
 @dataclass
 class GlobalEstimate:
-    """Certified global value: true quantity in [value-error, value+error]."""
+    """Certified global value: true quantity in [value-error, value+error].
+
+    per_place maps repr(place) to that place's Estimate when the value is a
+    sum over places; it is empty in global-exact mode."""
 
     value: mp.mpf
     error: mp.mpf
@@ -144,6 +147,10 @@ class GlobalEstimate:
             "mode": self.mode,
             "places": [repr(p) for p in self.places_iterated],
             "warnings": list(self.warnings),
+            "per_place": {
+                v: {key: item for key, item in est.to_json_dict(digits).items()
+                    if key != "place"}
+                for v, est in self.per_place.items()},
         }
 
 
@@ -198,7 +205,7 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         raise DomainError("relative canonical height undefined for D containing H")
     N, d = f.N, f.d
     if k is None:
-        k = 20 if N == 1 else 5
+        k = default_k(N)
     if k_padic is None:
         k_padic = min(k, padic_k_default(N, d, D.degree))
     places = auto_places(f, D)

@@ -14,12 +14,13 @@ import mpmath as mp
 from relesc.cli import main as cli_main
 from relesc.divisors import (Divisor, MinCritMap, delta_estimate,
                              delta_relative_critical, unicritical_map)
-from relesc.forms import CyclotomicPoly, power_pullback, power_pushforward
+from relesc.forms import power_pullback, power_pushforward
 from relesc.harness import LEMMA_IDS, CONDITIONAL, run_suite
 from relesc.heights import good_reduction, relative_critical_height
 from relesc.places import INF, Place
 from relesc.rational import primes_upto, vp
 from relesc.unicritical import UnicriticalMap, escape_rate_oracle
+from test_cyclotomic_oracle import CyclotomicPoly
 
 # Reference escape rate for z^2 + 3 from the independent orbit oracle
 # (0 -> 3 -> 12 -> 147 -> 21612 -> ..., log|z_k|/2^k at k = 30, computed

@@ -84,6 +84,32 @@ class TestCriticalHeight:
         obj = json.loads(out)
         assert obj["config"]["places"] == "inf,2"
 
+    def test_explicit_places_default_iters(self, capsys, mapfile):
+        # without --iters the library's default depth is used (20 for N = 1)
+        m = {"N": 1, "d": 2, "A": [["1"]], "b": ["1/15"]}
+        code, out = run(capsys, ["critical-height", "--map", mapfile("m.json", m),
+                                 "--places", "inf,3,5"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["config"]["iters"] == 20
+        assert set(obj["per_place"]) == {"inf", "3", "5"}
+
+    @pytest.mark.parametrize("places", ["auto", "inf,2"])
+    def test_per_place_sums_to_totals(self, capsys, mapfile, places):
+        code, out = run(capsys, ["critical-height",
+                                 "--map", mapfile("m.json", MAPHALF),
+                                 "--places", places, "--digits", "30"])
+        assert code == 0
+        obj = json.loads(out)
+        parts = obj["per_place"]
+        assert {"inf", "2"} <= set(parts)
+        for est in parts.values():
+            assert set(est) == {"value", "error", "k", "mode"}
+        assert abs(sum(float(e["value"]) for e in parts.values())
+                   - float(obj["value"])) < 1e-12
+        assert abs(sum(float(e["error"]) for e in parts.values())
+                   - float(obj["error"])) < 1e-12
+
 
 class TestGoodReduction:
     def test_exit_codes(self, capsys, mapfile):

@@ -3,10 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from relesc.forms import (CyclotomicPoly, HomogeneousForm as HF,
-                          compose_linear, cyclotomic_coeffs, form_product,
+from relesc.forms import (HomogeneousForm as HF, compose_linear, form_product,
                           power_pullback, power_pushforward, slice_form)
-from relesc.rational import InternalError, UsageError
+from relesc.rational import UsageError
 
 
 def rand_form(rng, n, deg, bound=9, maxterms=6):
@@ -226,28 +225,3 @@ class TestSlices:
     def test_out_of_range(self):
         with pytest.raises(UsageError):
             slice_form(HF.unit(2), 1)
-
-
-class TestCyclotomic:
-    def test_phi_polynomials(self):
-        assert cyclotomic_coeffs(1) == (-1, 1)
-        assert cyclotomic_coeffs(2) == (1, 1)
-        assert cyclotomic_coeffs(3) == (1, 1, 1)
-        assert cyclotomic_coeffs(4) == (1, 0, 1)
-        assert cyclotomic_coeffs(6) == (1, -1, 1)
-
-    def test_rationality_detection(self):
-        # 1 + t + t^2 reduces to 0 mod Phi_3
-        x = CyclotomicPoly(3, (1, 1, 1))
-        assert x.is_rational_zero()
-        # t itself is not rational mod Phi_3
-        with pytest.raises(InternalError):
-            CyclotomicPoly(3, (0, 1, 0)).rational()
-        # t is rational (= -1) mod Phi_2
-        assert CyclotomicPoly(2, (0, 1)).rational() == -1
-
-    def test_cyclic_multiplication(self):
-        # (1 + t) * t = t + t^2, exponents mod 3
-        a = CyclotomicPoly(3, (1, 1, 0))
-        b = CyclotomicPoly(3, (0, 1, 0))
-        assert (a * b).coeffs == (0, 1, 1)

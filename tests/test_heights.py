@@ -96,6 +96,16 @@ class TestRelativeCanonicalHeight:
         assert two.r == Q(1, 2)
         assert near(g.value, arch + mp.log(2) / 2, tol=1e-20)
 
+    def test_per_place_json_sums_to_totals(self):
+        g = relative_canonical_height(unicritical_map(2, Q(5, 6)),
+                                      Divisor.point(Q(0)), mode="per-place")
+        obj = g.to_json_dict(40)
+        parts = obj["per_place"]
+        assert list(parts) == obj["places"]
+        assert parts["3"]["mode"] == "exact" and parts["3"]["k"] >= 1
+        assert near(sum(mp.mpf(e["value"]) for e in parts.values()), g.value)
+        assert near(sum(mp.mpf(e["error"]) for e in parts.values()), g.error)
+
     def test_global_exact_agrees_with_per_place(self):
         f = unicritical_map(2, Q(5, 3))
         D = Divisor.point(Q(2))
