@@ -20,9 +20,7 @@ import numpy as np
 
 from .divisors import Divisor, MinCritMap, critical_divisor, delta_estimate
 from .harness import LEMMA_IDS, Profile, run_suite
-from .heights import (GlobalEstimate, default_k, good_reduction,
-                      padic_k_default, relative_critical_height,
-                      thm_main_bounds)
+from .heights import good_reduction, relative_critical_height, thm_main_bounds
 from .places import INF, Place, set_precision
 from .rational import DomainError, UsageError
 from .unicritical import UnicriticalMap, is_pcf
@@ -79,23 +77,10 @@ def cmd_escape_rate(args) -> int:
 
 def cmd_critical_height(args) -> int:
     f = MinCritMap.from_json_dict(_load_json(args.map))
-    if args.places == "auto":
-        rch = relative_critical_height(f, args.iters)
-    else:
-        k = default_k(f.N) if args.iters is None else args.iters
-        C = critical_divisor(f)
+    places = None
+    if args.places != "auto":
         places = [Place.parse(t) for t in args.places.split(",") if t]
-        value = mp.mpf(0)
-        err = mp.mpf(0)
-        per_place = {}
-        for v in places:
-            k_v = k if v.is_arch else min(k, padic_k_default(f.N, f.d, C.degree))
-            est = delta_estimate(f, C, k_v, v)
-            per_place[repr(v)] = est
-            value += est.value.to_mpf()
-            err += est.error.to_mpf()
-        rch = GlobalEstimate(value=value, error=err, places_iterated=places,
-                             k=k, mode="explicit-places", per_place=per_place)
+    rch = relative_critical_height(f, args.iters, places=places)
     rep = thm_main_bounds(f, rch=rch)
     out = {
         "config": {

@@ -230,12 +230,7 @@ def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUD
     terms = {e: c.numerator for e, c in D.form.terms.items()}
     terms = pushforward_terms(terms, f.d, n)
     den = lcm_denominators(x for row in f.L_inv for x in row)
-    rows = [
-        {tuple(int(k == j) for k in range(n)): int(x * den)
-         for j, x in enumerate(row) if x != 0}
-        for row in f.L_inv
-    ]
-    terms = _subst_raw(terms, rows, n)
+    terms = _subst_raw(terms, [[int(x * den) for x in row] for row in f.L_inv], n)
     G = HomogeneousForm(n, D.degree * f.d ** (f.N - 1),
                         {e: Fraction(c) for e, c in terms.items()})
     out = Divisor(G)

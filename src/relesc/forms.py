@@ -7,6 +7,12 @@ an invertible matrix, pull-back under the coordinate power map
 phi(X) = (X_1^d : ... : X_n^d), and the push-forward under phi, which is
 computed as an exact norm: a circulant determinant of the residue classes
 of exponents mod d, one variable at a time.
+
+The forms keep exponent-tuple keys; every raw kernel (product,
+substitution, push-forward) packs each monomial into one integer,
+sum_i e_i * base^i, with base above the largest total degree that can
+occur, so no exponent carries into the next and a monomial product is one
+integer sum.
 """
 
 from __future__ import annotations
@@ -157,25 +163,58 @@ class HomogeneousForm:
 
 
 # ---------------------------------------------------------------------------
-# raw dict-level polynomial helpers (not necessarily homogeneous-checked)
+# raw kernels on packed monomials
 # ---------------------------------------------------------------------------
+#
+# Every raw kernel below works on monomials packed into one integer each,
+# sum_i e_i * base^i, so a monomial product is one integer sum.  base is one
+# above the largest total degree that can occur in the computation; then no
+# exponent reaches base and no sum carries into the next variable.
 
-def _dict_mul(a: dict, b: dict) -> dict:
+def _pack(terms: dict, base: int) -> dict:
+    """{exponent tuple: c} -> {sum_i e_i base^i: c}."""
+    out = {}
+    for exps, c in terms.items():
+        key = 0
+        for e in reversed(exps):
+            key = key * base + e
+        out[key] = c
+    return out
+
+
+def _unpack(packed: dict, base: int, n: int) -> dict:
+    """The inverse of _pack for monomials in n variables."""
+    out = {}
+    for key, c in packed.items():
+        exps = []
+        for _ in range(n):
+            key, e = divmod(key, base)
+            exps.append(e)
+        out[tuple(exps)] = c
+    return out
+
+
+def _packed_mul(a: dict, b: dict) -> dict:
     """Sparse polynomial product; works for any exact coefficient type."""
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            if e in out:
-                s = out[e] + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = c
-    return out
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _packed_square(a: dict) -> dict:
+    """a^2 over the pairs i <= j only."""
+    items = list(a.items())
+    out: dict = {}
+    for i, (ea, ca) in enumerate(items):
+        out[ea + ea] = out.get(ea + ea, 0) + ca * ca
+        ca2 = ca + ca
+        for eb, cb in items[i + 1:]:
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca2 * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def _acc_add(acc: dict, extra: dict, scale=1) -> dict:
@@ -191,27 +230,31 @@ def _acc_add(acc: dict, extra: dict, scale=1) -> dict:
     return acc
 
 
-def _subst_raw(terms: dict, rows: list[dict], n: int) -> dict:
-    """Substitute the linear forms rows[i] for variable i in a sparse
-    polynomial, by nested Horner; exact for any coefficient type."""
+def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> dict:
+    """Substitute sum_j M[i][j] X_j for X_i in a sparse polynomial in n
+    variables, by nested Horner; exact for any coefficient type."""
+    if not terms:
+        return {}
+    base = max(sum(exps) for exps in terms) + 1
+    rows = [{base ** j: c for j, c in enumerate(row) if c} for row in M]
 
-    def subst(sub_terms: dict, var: int) -> dict:
+    def subst(sub: dict, var: int) -> dict:
         if var == n:
-            return dict(sub_terms)
+            return sub
+        shift = base ** var
         by_e: dict[int, dict] = {}
-        for exps, c in sub_terms.items():
-            rest = exps[:var] + (0,) + exps[var + 1 :]
-            bucket = by_e.setdefault(exps[var], {})
-            bucket[rest] = bucket.get(rest, 0) + c
+        for key, c in sub.items():
+            e = key // shift % base
+            by_e.setdefault(e, {})[key - e * shift] = c
         acc: dict = {}
         for e in range(max(by_e), -1, -1):
             if acc:
-                acc = _dict_mul(acc, rows[var])
+                acc = _packed_mul(acc, rows[var])
             if e in by_e:
                 _acc_add(acc, subst(by_e[e], var + 1))
         return acc
 
-    return subst(terms, 0)
+    return _unpack(subst(_pack(terms, base), 0), base, n)
 
 
 def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
@@ -224,10 +267,11 @@ def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
     degree = sum(f.degree for f in fs)
     if any(f.is_zero() for f in fs):
         return HomogeneousForm(n, degree, {})
-    acc = dict(fs[0].terms)
+    base = degree + 1
+    acc = _pack(fs[0].terms, base)
     for f in fs[1:]:
-        acc = _dict_mul(acc, f.terms)
-    return HomogeneousForm(n, degree, acc)
+        acc = _packed_mul(acc, _pack(f.terms, base))
+    return HomogeneousForm(n, degree, _unpack(acc, base, n))
 
 
 def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> HomogeneousForm:
@@ -245,13 +289,7 @@ def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> Homog
         raise UsageError("compose_linear: singular matrix")
     if F.is_zero():
         return F
-    # row i of M as a linear form in the target variables
-    rows = [
-        {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c != 0}
-        for row in M
-    ]
-    result = _subst_raw(dict(F.terms), rows, n)
-    return HomogeneousForm(n, F.degree, result)
+    return HomogeneousForm(n, F.degree, _subst_raw(F.terms, M, n))
 
 
 def power_pullback(F: HomogeneousForm, d: int) -> HomogeneousForm:
@@ -283,31 +321,6 @@ def slice_form(F: HomogeneousForm, k: int) -> HomogeneousForm:
 # ---------------------------------------------------------------------------
 # push-forward: the norm of the residue-class split
 # ---------------------------------------------------------------------------
-#
-# Monomials are packed into one integer, sum_i e_i * base^i, with base above
-# every exponent that can occur, so a monomial product is an integer sum.
-
-def _packed_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _packed_square(a: dict) -> dict:
-    """a^2 over the pairs i <= j only."""
-    items = list(a.items())
-    out: dict = {}
-    for i, (ea, ca) in enumerate(items):
-        out[ea + ea] = out.get(ea + ea, 0) + ca * ca
-        ca2 = ca + ca
-        for eb, cb in items[i + 1:]:
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca2 * cb
-    return {e: c for e, c in out.items() if c}
-
 
 def _packed_dot(xs, ys) -> dict:
     acc: dict = {}
@@ -370,12 +383,7 @@ def pushforward_terms(terms: dict, d: int, n: int) -> dict:
     if not terms:
         return {}
     base = sum(next(iter(terms))) * d ** (n - 1) + 1
-    cur = {}
-    for exps, c in terms.items():
-        key = 0
-        for e in reversed(exps):
-            key = key * base + e
-        cur[key] = c
+    cur = _pack(terms, base)
     primes = _prime_divisors(d)
     for var in range(n - 1):  # X_n is not twisted
         shift, stride = base ** var, 1
@@ -388,14 +396,10 @@ def pushforward_terms(terms: dict, d: int, n: int) -> dict:
             cur = _circulant_det(parts)
             stride *= p
     out = {}
-    for key, c in cur.items():
-        exps = []
-        for _ in range(n):
-            key, e = divmod(key, base)
-            if e % d:
-                raise InternalError(f"push-forward exponent {e} not divisible by {d}")
-            exps.append(e // d)
-        out[tuple(exps)] = c
+    for exps, c in _unpack(cur, base, n).items():
+        if any(e % d for e in exps):
+            raise InternalError(f"push-forward exponents {exps} not divisible by {d}")
+        out[tuple(e // d for e in exps)] = c
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 import mpmath as mp
 
@@ -22,7 +22,8 @@ from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, MinCritMap,
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
-                       prime_factors, primes_upto, support_primes, vp)
+                       lcm_denominators, prime_factors, primes_upto,
+                       support_primes, vp)
 
 PADIC_K_MAX = {1: 8, 2: 5}
 PADIC_DEGREE_CAP = 32
@@ -95,15 +96,16 @@ def relative_height_by_places(D: Divisor):
     return total
 
 
+def _projective_height(xs: list[Fraction]):
+    """log max|x_i| of the primitive integer multiple of the tuple xs."""
+    den = lcm_denominators(xs)
+    ints = [int(x * den) for x in xs]
+    return _log_int(max(abs(i) for i in ints) // content(ints))
+
+
 def point_height(b):
     """Weil height of the affine tuple b, h(b) = sum_v log^+ max|b_i|_v."""
-    coords = [Fraction(1)] + [Fraction(x) for x in b]
-    den = 1
-    for x in coords:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in coords]
-    g = content(ints)
-    return _log_int(max(abs(i) for i in ints) // g)
+    return _projective_height([Fraction(1)] + [Fraction(x) for x in b])
 
 
 def matrix_height(A):
@@ -112,12 +114,7 @@ def matrix_height(A):
     entries = [Fraction(x) for row in A for x in row]
     if all(x == 0 for x in entries):
         raise UsageError("zero matrix has no projective height")
-    den = 1
-    for x in entries:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in entries]
-    g = content(ints)
-    return _log_int(max(abs(i) for i in ints) // g)
+    return _projective_height(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +189,16 @@ def auto_places(f: MinCritMap, D: Divisor | None = None) -> list[Place]:
 def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
                               k_padic: int | None = None,
                               mode: str = "auto",
-                              bit_budget: int = DEFAULT_BIT_BUDGET) -> GlobalEstimate:
+                              bit_budget: int = DEFAULT_BIT_BUDGET,
+                              places: list[Place] | None = None) -> GlobalEstimate:
     """hat{h}_f(D) - hat{h}_{f|H}(D|_H) = sum_v Delta_{f,v}(D), truncated,
     with the certified per-place tails summed into the error.
 
     mode 'global-exact' iterates the divisor once over Z and takes the
     relative height of the k-th push-forward; 'per-place' sums per-place
     estimates (scaled floats at infinity, exact p-adic at the bad primes);
-    'auto' tries global-exact for small k and falls back.
+    'auto' tries global-exact for small k and falls back.  Given places,
+    only the per-place sum over exactly those places is taken.
     """
     if D.contains_hyperplane_at_infinity():
         raise DomainError("relative canonical height undefined for D containing H")
@@ -208,13 +207,16 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         k = default_k(N)
     if k_padic is None:
         k_padic = min(k, padic_k_default(N, d, D.degree))
-    places = auto_places(f, D)
     warnings: list[str] = []
 
     if mode not in ("auto", "global-exact", "per-place"):
         raise UsageError(f"unknown mode {mode!r}")
-    want_global = mode == "global-exact" or (
-        mode == "auto" and ((N == 1 and k <= 10) or (N == 2 and k <= 3)))
+    want_global = places is None and (mode == "global-exact" or (
+        mode == "auto" and ((N == 1 and k <= 10) or (N == 2 and k <= 3))))
+    if places is None:
+        places = auto_places(f, D)
+    elif mode == "global-exact":
+        raise UsageError("global-exact mode takes no place list")
     if want_global:
         try:
             G = D

@@ -17,7 +17,7 @@ import mpmath as mp
 from .divisors import (Divisor, Estimate, delta_estimate, delta_tail_bound,
                        unicritical_map)
 from .places import INF, LocalLog, Place
-from .rational import UsageError, vp
+from .rational import UsageError, prime_factors, vp
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def is_pcf(m: UnicriticalMap) -> PcfResult:
     value (both within finitely many steps).
     """
     if m.c.denominator != 1:
-        p = min(q for q in _prime_divisors(m.c.denominator))
+        p = min(prime_factors(m.c.denominator))
         return PcfResult(False, f"c is non-integral: bad reduction at {p}")
     c = m.c.numerator
     R = max(abs(c), 2) + 1
@@ -133,11 +133,6 @@ def is_pcf(m: UnicriticalMap) -> PcfResult:
             return PcfResult(True, "critical orbit cycles", tuple(orbit))
         orbit.append(z)
         seen.add(z)
-
-
-def _prime_divisors(n: int):
-    from .rational import prime_factors
-    return prime_factors(n)
 
 
 def cross_check(m: UnicriticalMap, k: int, v: Place = INF,

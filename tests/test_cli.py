@@ -94,6 +94,20 @@ class TestCriticalHeight:
         assert obj["config"]["iters"] == 20
         assert set(obj["per_place"]) == {"inf", "3", "5"}
 
+    def test_auto_place_list_matches_auto(self, capsys, mapfile):
+        # the explicit list of the auto places takes the library's loop
+        m = mapfile("m.json", MAPHALF)
+        reports = []
+        for places in ("auto", "inf,2,3,5,7"):
+            code, out = run(capsys, ["critical-height", "--map", m,
+                                     "--places", places, "--digits", "30"])
+            assert code == 0
+            reports.append(json.loads(out))
+        auto, listed = reports
+        for key in ("value", "error", "per_place"):
+            assert listed[key] == auto[key]
+        assert listed["config"]["mode"] == auto["config"]["mode"] == "per-place"
+
     @pytest.mark.parametrize("places", ["auto", "inf,2"])
     def test_per_place_sums_to_totals(self, capsys, mapfile, places):
         code, out = run(capsys, ["critical-height",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -9,7 +10,8 @@ from relesc.divisors import (Divisor, MinCritMap, critical_divisor,
                              lambda_local, mu_local, pullback_map,
                              pullback_translation, pushforward_map,
                              unicritical_map)
-from relesc.forms import HomogeneousForm as HF, power_pullback
+from relesc.forms import (HomogeneousForm as HF, compose_linear, power_pullback,
+                          power_pushforward)
 from relesc.places import INF, Place, LocalLog
 from relesc.rational import BitBudgetError, DomainError, UsageError
 
@@ -151,6 +153,27 @@ class TestPushPull:
         D = Divisor.point(Q(3, 5))
         roundtrip = pushforward_map(f, pullback_map(f, D))
         assert roundtrip == 2 * D  # d^N = 2 copies
+
+    def test_matches_form_level_composition(self):
+        # the integer-cleared raw path equals L_* phi_* on forms
+        rng = random.Random(23)
+        mats = {1: [[[Q(1)]]],
+                2: [[[Q(1), Q(0)], [Q(0), Q(1)]], [[Q(1), Q(1)], [Q(0), Q(1)]],
+                    [[Q(2), Q(1)], [Q(1), Q(1)]]]}
+        for N in (1, 2):
+            for d in (2, 3):
+                for A in mats[N]:
+                    b = [Q(rng.randint(-9, 9), rng.choice((2, 3, 5)))
+                         for _ in range(N)]
+                    f = MinCritMap(N, d, A, b)
+                    for deg in (1, 2):
+                        D = Divisor(HF(N + 1, deg, {
+                            e: Q(rng.randint(-9, 9), rng.randint(1, 4))
+                            for e in product(range(deg + 1), repeat=N + 1)
+                            if sum(e) == deg}))
+                        expected = Divisor(compose_linear(
+                            power_pushforward(D.form, d), f.L_inv))
+                        assert pushforward_map(f, D) == expected
 
     def test_translation(self):
         assert pullback_translation([Q(5)], Divisor.point(Q(3))) == \

@@ -82,9 +82,17 @@ class TestProduct:
 
     def test_against_naive_oracle(self):
         rng = random.Random(7)
-        for _ in range(10):
-            fs = [rand_form(rng, 3, 2) for _ in range(3)]
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                fs = [rand_form(rng, n, rng.randint(1, 3)) for _ in range(3)]
+                assert form_product(fs).terms == naive_product(fs)
+            # pure powers X_i^deg: the product holds X_i^(total degree), whose
+            # exponent is one below the packing base
+            powers = HF(n, 3, {tuple(3 * (i == j) for j in range(n)): Q(i + 2)
+                               for i in range(n)})
+            fs = [powers, rand_form(rng, n, 2), powers, HF.unit(n)]
             assert form_product(fs).terms == naive_product(fs)
+            assert form_product([HF.unit(n), HF.unit(n)]) == HF.unit(n)
 
     def test_associative_commutative(self):
         rng = random.Random(3)
@@ -99,7 +107,32 @@ class TestProduct:
             form_product([HF.unit(2), HF.unit(3)])
 
 
+def naive_compose(F, M):
+    """Independent expansion oracle: sum_e c_e prod_i row_i^(e_i)."""
+    n = F.num_vars
+    rows = [HF(n, 1, {tuple(int(k == j) for k in range(n)): Q(c)
+                      for j, c in enumerate(row)}) for row in M]
+    out = {}
+    for e, c in F.terms.items():
+        factors = [rows[i] for i in range(n) for _ in range(e[i])]
+        expansion = naive_product(factors) if factors else {(0,) * n: Q(1)}
+        for k, v in expansion.items():
+            out[k] = out.get(k, Q(0)) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
 class TestComposeLinear:
+    def test_against_naive_oracle(self):
+        rng = random.Random(17)
+        dense = [[Q(1, 2), Q(3), Q(0), Q(-1)], [Q(2), Q(1), Q(1, 3), Q(0)],
+                 [Q(0), Q(-2), Q(1), Q(5, 7)], [Q(1), Q(0), Q(2), Q(1)]]
+        integer = [[2, 3, 1], [1, 2, 0], [0, 1, 1]]
+        for M in (dense, integer):
+            n = len(M)
+            forms = [rand_form(rng, n, deg) for deg in (1, 2, 3, 3)]
+            for F in forms + [HF.unit(n)]:
+                assert compose_linear(F, M).terms == naive_compose(F, M)
+
     def test_identity(self):
         F = HF(2, 1, {(1, 0): Q(1)})
         assert compose_linear(F, [[1, 0], [0, 1]]) == F

@@ -12,8 +12,8 @@ from relesc.heights import (good_reduction, height_divisor, main_bound_constants
                             relative_canonical_height, relative_critical_height,
                             relative_height, relative_height_by_places,
                             thm_main_bounds)
-from relesc.places import INF
-from relesc.rational import DomainError, vp
+from relesc.places import INF, Place
+from relesc.rational import DomainError, UsageError, vp
 
 
 def near(x, y, tol=1e-25):
@@ -121,6 +121,15 @@ class TestRelativeCanonicalHeight:
         b = relative_canonical_height(f, D, 3, mode="per-place")
         assert abs(float(a.value) - float(b.value)) \
             <= float(a.error) + float(b.error) + 1e-9
+
+    def test_places_restrict_the_sum(self):
+        f = unicritical_map(2, Q(5, 6))
+        D = Divisor.point(Q(0))
+        g = relative_canonical_height(f, D, places=[INF, Place(3)])
+        assert g.mode == "per-place"
+        assert list(g.per_place) == ["inf", "3"]
+        with pytest.raises(UsageError):
+            relative_canonical_height(f, D, mode="global-exact", places=[INF])
 
     def test_budget_fallback_warns(self):
         # global-exact overflows the tiny budget, falls back per-place
