@@ -349,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "for maps A X^d + b on projective space")
     ap.add_argument("--precision", type=int, default=None,
                     help="working precision in decimal digits (>= 50)")
-    ap.add_argument("--threads", type=int, default=None, dest="g_threads",
-                    help="worker threads for grid commands")
-    ap.add_argument("--seed", type=int, default=None, dest="g_seed",
-                    help="seed for randomized commands")
-    ap.add_argument("--out", default=None, dest="g_out",
-                    help="output path/basename")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("escape-rate", help="truncated Delta_f(D) at one place")
@@ -412,23 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_globals(args) -> None:
-    # subcommand-level values win; the pre-subcommand globals are fallbacks
-    if getattr(args, "out", None) is None and args.g_out is not None:
-        args.out = args.g_out
-    if getattr(args, "seed", None) in (None, 42) and args.g_seed is not None:
-        args.seed = args.g_seed
-    if getattr(args, "threads", None) in (None, 1) and args.g_threads is not None:
-        args.threads = args.g_threads
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
         if args.precision:
             set_precision(args.precision)
-        _resolve_globals(args)
         return args.fn(args)
     except (UsageError, DomainError, FileNotFoundError, KeyError,
             json.JSONDecodeError, ValueError) as exc:

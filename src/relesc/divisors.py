@@ -353,6 +353,11 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     if mode not in ("scaled", "exact"):
         raise UsageError(f"unknown mode {mode!r}")
     d, N = f.d, f.N
+    if mode == "scaled" and N >= 3:
+        # a cost refusal: SlicedForm takes any N, but this is ~1e10 floats
+        # for the critical divisor at N=3, d=2, k=5
+        raise UsageError("scaled mode is refused for N >= 3: the k-th iterate "
+                         "holds about (deg * d^(k(N-1)))^N floats")
     if mode == "exact":
         G = D
         for _ in range(k):

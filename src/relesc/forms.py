@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .rational import (InternalError, UsageError, det_exact, parse_rational,
-                       format_rational)
+                       format_rational, trial_division)
 
 ExpTuple = tuple[int, ...]
 
@@ -365,17 +365,6 @@ def _circulant_det(parts: list[dict]) -> dict:
     return _berkowitz_det([[parts[(j - i) % p] for j in range(p)] for i in range(p)])
 
 
-def _prime_divisors(d: int) -> list[int]:
-    """The primes of d with multiplicity, ascending."""
-    out, p = [], 2
-    while d > 1:
-        while d % p == 0:
-            out.append(p)
-            d //= p
-        p += 1
-    return out
-
-
 def pushforward_terms(terms: dict, d: int, n: int) -> dict:
     """Raw-terms phi_* product of the terms of a homogeneous form in n
     variables (see power_pushforward); coefficient type is preserved, so
@@ -384,7 +373,7 @@ def pushforward_terms(terms: dict, d: int, n: int) -> dict:
         return {}
     base = sum(next(iter(terms))) * d ** (n - 1) + 1
     cur = _pack(terms, base)
-    primes = _prime_divisors(d)
+    primes = list(trial_division(d))
     for var in range(n - 1):  # X_n is not twisted
         shift, stride = base ** var, 1
         for p in primes:

@@ -22,7 +22,8 @@ from math import factorial
 import mpmath as mp
 
 from .forms import HomogeneousForm
-from .rational import UsageError, det_exact, matrix_inverse_exact, vp
+from .rational import (UsageError, det_exact, matrix_inverse_exact,
+                       trial_division, vp)
 
 MIN_DPS = 50
 
@@ -59,7 +60,7 @@ class Place:
     def __post_init__(self):
         if self.p is not None:
             p = self.p
-            if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            if p < 2 or next(trial_division(p)) != p:
                 raise UsageError(f"{p} is not prime")
 
     @property
@@ -294,19 +295,12 @@ def log_plus_int(n: int, v: Place) -> LocalLog:
 
 def gauss_norm_log(F: HomogeneousForm, v: Place) -> LocalLog:
     """log||F||_v = max over coefficients of log|c|_v; -inf iff F = 0."""
-    if F.is_zero():
-        return LocalLog.neg_inf(v)
-    coeffs = F.coefficients()
-    if v.is_arch:
-        big = max(abs(c) for c in coeffs)
-        return LocalLog.arch(_arch_log_fraction(big))
-    vmin = min(vp(c, v.p) for c in coeffs)
-    return LocalLog.padic(v, Fraction(-vmin))
+    return vector_norm_log(F.coefficients(), v)
 
 
 def vector_norm_log(xs, v: Place) -> LocalLog:
-    """log max_i |x_i|_v of a vector of rationals (-inf for the zero vector)."""
-    xs = [Fraction(x) for x in xs]
+    """log max_i |x_i|_v of a vector of rationals, ints or Fractions (-inf
+    for the zero vector)."""
     nz = [x for x in xs if x != 0]
     if not nz:
         return LocalLog.neg_inf(v)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class UsageError(ValueError):
@@ -69,22 +69,26 @@ def primes_upto(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def prime_factors(n: int) -> set[int]:
-    """Set of prime divisors of |n| (n nonzero)."""
+def trial_division(n: int) -> Iterator[int]:
+    """The prime divisors of |n| with multiplicity, ascending (n nonzero).
+
+    Lazy, so a caller that only needs the smallest one stops there."""
     n = abs(n)
     if n == 0:
-        raise ValueError("prime_factors(0)")
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
+        raise ValueError("trial_division(0)")
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            yield q
+            n //= q
+        q += 1 if q == 2 else 2
     if n > 1:
-        out.add(n)
-    return out
+        yield n
+
+
+def prime_factors(n: int) -> set[int]:
+    """Set of prime divisors of |n| (n nonzero)."""
+    return set(trial_division(n))
 
 
 def support_primes(xs: Iterable[Fraction]) -> set[int]:

@@ -2,21 +2,25 @@
 
 Pushing a divisor forward k times scales log||F|| by d^{kN}, so raw
 coefficients overflow/underflow any fixed-precision format almost
-immediately.  This backend stores a homogeneous form slice by slice in the
-last variable, each slice as a dense numpy vector over the X_1 exponent
-together with a log-scale offset, renormalized to unit max-norm after
-every operation.  lambda and the Gauss log-norm only need coefficient
-ratios, so the offsets carry all the magnitude information.
+immediately.  This backend stores a homogeneous form in X_1..X_{N+1} slice
+by slice in the last variable.  Slice s is a dense numpy array over the
+exponents of X_1..X_{N-1} (0-d for N = 1, a vector for N = 2, a matrix for
+N = 3), the exponent of X_N being implied by the degree, together with a
+log-scale offset; it is renormalized to unit max-norm after every
+operation.  lambda and the Gauss log-norm only need coefficient ratios, so
+the offsets carry all the magnitude information.
 
-Only N = 1 and N = 2 (2 or 3 variables) are supported here, which is what
-the escape-rate machinery iterates; exact mode in divisors.py covers the
-general operations.
+A slice of a degree-D form holds (D - s + 1)^(N-1) floats and the degree
+grows like d^{N-1} per push-forward step, which is why
+divisors.delta_estimate refuses scaled mode for N >= 3.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from operator import sub
 
 import numpy as np
 
@@ -34,17 +38,48 @@ def _log_abs_fraction(x) -> float:
     return (math.log2(n) - math.log2(d)) * math.log(2.0)
 
 
+def _max_abs(arr: np.ndarray) -> float:
+    # the ufunc's own reduce skips np.max's wrapper, which is most of the
+    # cost on small slices
+    return float(np.maximum.reduce(np.abs(arr), axis=None))
+
+
+def _renorm(off: float, arr: np.ndarray):
+    m = _max_abs(arr)
+    if m == 0.0 or not math.isfinite(m):
+        return None
+    # asarray keeps N = 1 slices 0-d arrays, so they multiply through the
+    # same ufunc loops as longer slices rather than numpy's scalar math
+    return (off + math.log(m), np.asarray(arr / m))
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two slices: full convolution over every axis."""
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    if a.ndim == 0:
+        # not a * b: np.convolve's complex product is a BLAS dot, which
+        # rounds differently from a complex multiply
+        return np.convolve(a, b).reshape(())
+    out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
+                   dtype=np.result_type(a, b))
+    for i, row in enumerate(a):
+        for j, col in enumerate(b):
+            out[i + j] += _convolve(row, col)
+    return out
+
+
 class SlicedForm:
-    """slices[s] = (offset, arr); true coefficient of
-    X1^e1 X2^(deg-s-e1) X3^s  (N=2)  or  X1^(deg-s) X2^s  (N=1)
-    is exp(offset) * arr[e1] (arr has length 1 and e1 is implicit for N=1).
+    """slices[s] = (offset, arr); the true coefficient of
+    X_1^e_1 ... X_{N-1}^e_{N-1} X_N^(deg-s-e_1-...-e_{N-1}) X_{N+1}^s
+    is exp(offset) * arr[e_1, ..., e_{N-1}], arr of shape (deg-s+1,)*(N-1).
     """
 
     __slots__ = ("N", "degree", "slices")
 
     def __init__(self, N: int, degree: int, slices: dict):
-        if N not in (1, 2):
-            raise UsageError("scaled forms support N = 1 or 2 only")
+        if N < 1:
+            raise UsageError("scaled forms need N >= 1")
         self.N = N
         self.degree = degree
         self.slices = slices
@@ -56,33 +91,38 @@ class SlicedForm:
         N = F.num_vars - 1
         if F.is_zero():
             raise UsageError("cannot scale the zero form")
-        out: dict[int, np.ndarray] = {}
         deg = F.degree
-        raw: dict[int, dict[int, object]] = {}
+        raw: dict[int, dict[tuple, object]] = {}
         for exps, c in F.terms.items():
-            s = exps[-1]
-            raw.setdefault(s, {})[exps[0] if N == 2 else 0] = c
+            raw.setdefault(exps[-1], {})[exps[:N - 1]] = c
         slices = {}
         for s, bucket in raw.items():
-            length = (deg - s + 1) if N == 2 else 1
             big = max(abs(c) for c in bucket.values())
-            off = _log_abs_fraction(big)
-            arr = np.zeros(length)
-            for e1, c in bucket.items():
-                arr[e1] = float(c / big)
-            slices[s] = (off, arr)
+            arr = np.zeros((deg - s + 1,) * (N - 1))
+            for idx, c in bucket.items():
+                arr[idx] = float(c / big)
+            slices[s] = (_log_abs_fraction(big), arr)
         return SlicedForm(N, deg, slices)
 
-    def copy(self) -> "SlicedForm":
-        return SlicedForm(self.N, self.degree,
-                          {s: (o, a.copy()) for s, (o, a) in self.slices.items()})
-
-    @staticmethod
-    def _renorm(off: float, arr: np.ndarray):
-        m = float(np.max(np.abs(arr)))
-        if m == 0.0 or not math.isfinite(m):
-            return None
-        return (off + math.log(m), arr / m)
+    def _gather(self, deg: int, buckets: dict, keep_single=False) -> "SlicedForm":
+        """The degree-deg form whose slice s is the sum of buckets[s], a list
+        of parts (offset, arr, at): each part is brought to the largest
+        offset and added into the slice array at index at, and the sum is
+        renormalized.  keep_single passes one-part slices through as is."""
+        slices = {}
+        for s, parts in buckets.items():
+            if keep_single and len(parts) == 1:
+                slices[s] = parts[0][:2]
+                continue
+            o = max(p[0] for p in parts)
+            acc = np.zeros((deg - s + 1,) * (self.N - 1),
+                           dtype=np.result_type(*(p[1] for p in parts)))
+            for po, parr, at in parts:
+                acc[at] += parr * math.exp(po - o)
+            ren = _renorm(o, acc)
+            if ren is not None:
+                slices[s] = ren
+        return SlicedForm(self.N, deg, slices)
 
     # -- norms -------------------------------------------------------------
 
@@ -90,7 +130,7 @@ class SlicedForm:
         if s not in self.slices:
             return _NEG_INF
         off, arr = self.slices[s]
-        return off + math.log(float(np.max(np.abs(arr))))
+        return off + math.log(_max_abs(arr))
 
     def log_norm(self) -> float:
         return max(self.slice_log_norm(s) for s in self.slices)
@@ -108,72 +148,38 @@ class SlicedForm:
     def add(self, other: "SlicedForm") -> "SlicedForm":
         if self.N != other.N or self.degree != other.degree:
             raise UsageError("degree/N mismatch in scaled add")
-        slices = {}
-        for s in set(self.slices) | set(other.slices):
-            parts = []
-            for src in (self, other):
-                if s in src.slices:
-                    parts.append(src.slices[s])
-            if len(parts) == 1:
-                slices[s] = parts[0]
-                continue
-            (o1, a1), (o2, a2) = parts
-            o = max(o1, o2)
-            length = max(len(a1), len(a2))
-            acc = np.zeros(length, dtype=np.result_type(a1, a2))
-            acc[: len(a1)] += a1 * math.exp(o1 - o)
-            acc[: len(a2)] += a2 * math.exp(o2 - o)
-            ren = self._renorm(o, acc)
-            if ren is not None:
-                slices[s] = ren
-        return SlicedForm(self.N, self.degree, slices)
+        buckets = {s: [src.slices[s] + (...,) for src in (self, other)
+                       if s in src.slices]
+                   for s in set(self.slices) | set(other.slices)}
+        return self._gather(self.degree, buckets, keep_single=True)
 
     def mul(self, other: "SlicedForm") -> "SlicedForm":
         if self.N != other.N:
             raise UsageError("N mismatch in scaled mul")
-        deg = self.degree + other.degree
         buckets: dict[int, list] = {}
         for s1, (o1, a1) in self.slices.items():
             for s2, (o2, a2) in other.slices.items():
-                conv = np.convolve(a1, a2)
-                buckets.setdefault(s1 + s2, []).append((o1 + o2, conv))
-        slices = {}
-        for s, parts in buckets.items():
-            o = max(p[0] for p in parts)
-            length = (deg - s + 1) if self.N == 2 else 1
-            acc = np.zeros(length, dtype=np.result_type(*(p[1] for p in parts)))
-            for po, parr in parts:
-                acc[: len(parr)] += parr * math.exp(po - o)
-            ren = self._renorm(o, acc)
-            if ren is not None:
-                slices[s] = ren
-        return SlicedForm(self.N, deg, slices)
+                buckets.setdefault(s1 + s2, []).append(
+                    (o1 + o2, _convolve(a1, a2), ...))
+        return self._gather(self.degree + other.degree, buckets)
 
     def mul_linear(self, off_l: float, coeffs) -> "SlicedForm":
         """Multiply by exp(off_l) * (c[0] X_1 + ... + c[N] X_{N+1});
         coeffs is a length-(N+1) array with max-norm <= 1."""
-        deg = self.degree + 1
-        shift = 1 if self.N == 2 else 0
+        axes = self.N - 1
         buckets: dict[int, list] = {}
         for s, (o, arr) in self.slices.items():
-            if coeffs[0] != 0:  # X1
-                a = np.concatenate(([0.0 * coeffs[0]], arr * coeffs[0])) if shift else arr * coeffs[0]
-                buckets.setdefault(s, []).append((o + off_l, a))
-            if self.N == 2 and coeffs[1] != 0:  # X2: e2 grows, same e1 index
-                buckets.setdefault(s, []).append((o + off_l, arr * coeffs[1]))
-            if coeffs[self.N] != 0:  # last variable: slice moves up
-                buckets.setdefault(s + 1, []).append((o + off_l, arr * coeffs[self.N]))
-        slices = {}
-        for s, parts in buckets.items():
-            o = max(p[0] for p in parts)
-            length = (deg - s + 1) if self.N == 2 else 1
-            acc = np.zeros(length, dtype=np.result_type(*(p[1] for p in parts)))
-            for po, parr in parts:
-                acc[: len(parr)] += parr * math.exp(po - o)
-            ren = self._renorm(o, acc)
-            if ren is not None:
-                slices[s] = ren
-        return SlicedForm(self.N, deg, slices)
+            o += off_l
+            corner = tuple(map(slice, arr.shape))
+            for i in range(axes):  # X_{i+1}: the index moves up along axis i
+                if coeffs[i] != 0:
+                    at = corner[:i] + (slice(1, None),) + corner[i + 1:]
+                    buckets.setdefault(s, []).append((o, arr * coeffs[i], at))
+            if coeffs[axes] != 0:  # X_N: the implied exponent grows
+                buckets.setdefault(s, []).append((o, arr * coeffs[axes], corner))
+            if coeffs[self.N] != 0:  # X_{N+1}: the slice moves up
+                buckets.setdefault(s + 1, []).append((o, arr * coeffs[self.N], ...))
+        return self._gather(self.degree + 1, buckets)
 
     # -- power-map push-forward ----------------------------------------------
 
@@ -181,14 +187,12 @@ class SlicedForm:
         """Coefficients multiplied by zeta^(exponent of X_{var+1}); var < N."""
         slices = {}
         for s, (o, arr) in self.slices.items():
-            if var == 0:
-                if self.N == 1:
-                    phases = zeta ** (self.degree - s)
-                else:
-                    phases = zeta ** np.arange(len(arr))
-            else:  # var == 1, N == 2: e2 = deg - s - e1
-                phases = zeta ** (self.degree - s - np.arange(len(arr)))
-            slices[s] = (o, arr * phases)
+            idx = np.indices(arr.shape, sparse=True)
+            # the implied X_N exponent, deg - s - e_1 - ... - e_{N-1}, stays a
+            # plain int for N = 1: Python's complex power rounds differently
+            # from numpy's
+            exps = idx[var] if var < arr.ndim else reduce(sub, idx, self.degree - s)
+            slices[s] = (o, arr * zeta ** exps)
         return SlicedForm(self.N, self.degree, slices)
 
     def power_push(self, d: int) -> "SlicedForm":
@@ -205,15 +209,16 @@ class SlicedForm:
         deg = prod.degree
         if deg % d:
             raise InternalError("push-forward degree not divisible by d")
+        every_dth = (slice(None, None, d),) * (self.N - 1)
         out = {}
         for s, (o, arr) in prod.slices.items():
             if s % d:
                 # exact cancellation structurally; float residue is noise
                 continue
-            kept = arr[::d] if self.N == 2 else arr
+            kept = arr[every_dth]
             if np.iscomplexobj(kept):
                 kept = kept.real
-            ren = self._renorm(o, np.array(kept, dtype=float))
+            ren = _renorm(o, np.array(kept, dtype=float))
             if ren is not None:
                 out[s // d] = ren
         return SlicedForm(self.N, deg // d, out)
@@ -223,7 +228,7 @@ class SlicedForm:
     def compose_lshape(self, M) -> "SlicedForm":
         """F(M X) for M with last row (0,...,0,1) (exact rational entries).
 
-        Uses nested Horner over the first variable(s); every intermediate is
+        Uses nested Horner over X_1..X_N; every intermediate is
         renormalized, so arbitrarily large matrix entries are fine.
         """
         n = self.N + 1
@@ -238,61 +243,35 @@ class SlicedForm:
                 raise UsageError("zero row in matrix")
             off = _log_abs_fraction(big)
             lins.append((off, np.array([float(x / big) for x in M[i]])))
-        if self.N == 1:
-            return self._horner_last(lins[0], None)
-        return self._horner_n2(lins[0], lins[1])
-
-    def _monomial_term(self, s: int, off: float, value: float, degree: int) -> "SlicedForm":
-        length = (degree - s + 1) if self.N == 2 else 1
-        arr = np.zeros(length)
-        arr[0] = value
-        return SlicedForm(self.N, degree, {s: (off, arr)})
-
-    def _horner_last(self, lin1, _unused) -> "SlicedForm":
-        # N=1: F(LX) = sum_s c_s l1^(deg-s) X2^s, Horner over descending
-        # X1-powers (ascending s)
-        out = None
-        for s in range(0, self.degree + 1):
-            if out is not None:
-                out = out.mul_linear(*lin1)
-            if s in self.slices:
-                o, arr = self.slices[s]
-                term = self._monomial_term(s, o, float(arr[0]),
-                                           out.degree if out is not None else s)
-                out = term if out is None else out.add(term)
+        out = self._horner(lins, ())
         if out is None:
             raise InternalError("empty scaled form")
         return out
 
-    def _horner_n2(self, lin1, lin2) -> "SlicedForm":
-        deg = self.degree
-        # group coefficients by e1: g_{e1} lives on slices s with value arr[e1]
+    def _horner(self, lins: list, head: tuple) -> "SlicedForm | None":
+        """G(l_j, ..., l_N, X_{N+1}), j = len(head) + 1, where G is the part
+        of self whose exponents of X_1..X_{j-1} are head, divided by those
+        variables; Horner in l_j, the X_j exponent descending.  None if G
+        is zero."""
+        m = self.degree - sum(head)
+        lin = lins[len(head)]
         out = None
-        for e1 in range(deg, -1, -1):
+        if len(head) < self.N - 1:
+            for e in range(m, -1, -1):
+                if out is not None:
+                    out = out.mul_linear(*lin)
+                inner = self._horner(lins, head + (e,))
+                if inner is not None:
+                    out = inner if out is None else out.add(inner)
+            return out
+        # j = N: the X_N exponent m - s is implied by the slice s
+        for s in range(m + 1):
             if out is not None:
-                out = out.mul_linear(*lin1)
-            inner = self._inner_subst(e1, lin2)
-            if inner is not None:
-                out = inner if out is None else out.add(inner)
-        if out is None:
-            raise InternalError("empty scaled form")
-        return out
-
-    def _inner_subst(self, e1: int, lin2) -> "SlicedForm | None":
-        # g_{e1}(l2, X3) = sum_s c_{e1,s} l2^(deg-e1-s) X3^s
-        m = self.degree - e1
-        out = None
-        seen = False
-        for s in range(0, m + 1):
-            if out is not None:
-                out = out.mul_linear(*lin2)
+                out = out.mul_linear(*lin)
             if s in self.slices:
                 o, arr = self.slices[s]
-                if e1 < len(arr) and arr[e1] != 0.0:
-                    seen = True
-                    term = self._monomial_term(s, o, float(arr[e1]),
-                                               out.degree if out is not None else s)
+                c = float(arr[head])
+                if c != 0.0:
+                    term = SlicedForm(self.N, s, {s: (o, np.array(c, ndmin=self.N - 1))})
                     out = term if out is None else out.add(term)
-        if not seen and out is None:
-            return None
         return out

@@ -265,3 +265,10 @@ class TestUsageErrors:
                                "--divisor", mapfile("d.json", DIV0),
                                "--place", "six"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--out"])
+    def test_no_pre_subcommand_flags(self, capsys, flag):
+        # only --precision goes before the subcommand; the others belong to it
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "7", "verify-lemmas", "--trials", "1", "--seed", "42"])
+        assert exc.value.code == 2
