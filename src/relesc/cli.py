@@ -2,9 +2,9 @@
 
 Commands: escape-rate, critical-height, good-reduction, verify-lemmas,
 mandel-slice, pcf-scan.  Exit codes: 0 success, 1 negative verdict,
-2 usage or domain error.  Every JSON output echoes its resolved
-configuration so runs are reproducible; numeric values are emitted as
-decimal strings.
+2 usage or domain error or a refused budget.  Every JSON output echoes its
+resolved configuration so runs are reproducible; numeric values are
+emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .divisors import Divisor, MinCritMap, critical_divisor, delta_estimate
 from .harness import LEMMA_IDS, Profile, run_suite
 from .heights import good_reduction, relative_critical_height, thm_main_bounds
 from .places import INF, Place, set_precision
-from .rational import DomainError, UsageError
+from .rational import BitBudgetError, DomainError, UsageError
 from .unicritical import UnicriticalMap, is_pcf
 
 EXIT_OK = 0
@@ -179,8 +179,7 @@ def _escape_values(d: int, cs: np.ndarray, max_iter: int) -> np.ndarray:
 
 def _n2_cell_value(f_template: dict, b1: float, b2: float, d: int,
                    iters: int) -> float:
-    A = [[Fraction(x) for x in row] for row in
-         [[Fraction(v) for v in r] for r in f_template]]
+    A = [[Fraction(x) for x in row] for row in f_template]
     b = [Fraction(b1).limit_denominator(10**6),
          Fraction(b2).limit_denominator(10**6)]
     f = MinCritMap(2, d, A, b)
@@ -391,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--map", default=None, help="N=2: map JSON fixing A")
     p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads over the rows of an N=1 grid; "
+                        "--map grids run on one thread")
     p.add_argument("--out", default=None, help="output basename")
     p.set_defaults(fn=cmd_mandel_slice)
 
@@ -413,8 +414,8 @@ def main(argv=None) -> int:
         if args.precision:
             set_precision(args.precision)
         return args.fn(args)
-    except (UsageError, DomainError, FileNotFoundError, KeyError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, DomainError, BitBudgetError, FileNotFoundError,
+            KeyError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,9 +24,11 @@ from .places import (LocalLog, Place, gauss_norm_log, local_min,
 from .rational import (BitBudgetError, DomainError, UsageError, content,
                        det_exact, lcm_denominators, matrix_inverse_exact,
                        parse_rational, format_rational)
-from .scaled import SlicedForm
+from .scaled import SlicedForm, step_bytes
 
 DEFAULT_BIT_BUDGET = 1 << 20
+# scaled mode refuses a step predicted to need more memory than this
+SCALED_STEP_BYTES = 1 << 30
 
 
 def canonical_form(F: HomogeneousForm) -> HomogeneousForm:
@@ -338,8 +340,9 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
 
     mode 'exact' iterates primitive integer forms (any place; aborts past
     the coefficient bit budget); 'scaled' (archimedean only) iterates
-    renormalized floats.  Default: scaled at the archimedean place, exact
-    p-adically.
+    renormalized floats, refusing up front (BitBudgetError) when a step is
+    predicted to need more than SCALED_STEP_BYTES.  Default: scaled at the
+    archimedean place, exact p-adically.
     """
     _check_dim(f, D)
     if k < 0:
@@ -364,6 +367,14 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
             G = pushforward_map(f, G, bit_budget=bit_budget)
         lam = lambda_local(G, v)
     else:
+        deg = D.degree
+        for _ in range(k):  # refuse before allocating anything
+            need = step_bytes(N, d, deg)
+            if need > SCALED_STEP_BYTES:
+                raise BitBudgetError(
+                    f"a scaled step at degree {deg} needs about {need >> 20} MiB "
+                    f"(over {SCALED_STEP_BYTES >> 20} MiB); lower k")
+            deg *= d ** (N - 1)
         S = SlicedForm.from_form(D.form)
         for _ in range(k):
             S = S.power_push(d).compose_lshape(f.L_inv)

@@ -196,7 +196,8 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
 
     mode 'global-exact' iterates the divisor once over Z and takes the
     relative height of the k-th push-forward; 'per-place' sums per-place
-    estimates (scaled floats at infinity, exact p-adic at the bad primes);
+    estimates (scaled floats at infinity, exact p-adic at the bad primes),
+    halving a place's k, with a warning, while its estimate is over budget;
     'auto' tries global-exact for small k and falls back.  Given places,
     only the per-place sum over exactly those places is taken.
     """
@@ -241,21 +242,19 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}
     for v in places:
-        if v.is_arch:
-            est = delta_estimate(f, D, k, v, mode="scaled")
-        elif v.p in bad:
-            k_v = min(k, k_padic)
+        if v.is_arch or v.p in bad:
+            # scaled at infinity, exact at the bad primes; over budget (memory
+            # or coefficient bits), halve k
+            k_v = k if v.is_arch else min(k, k_padic)
             while True:
                 try:
-                    est = delta_estimate(f, D, k_v, v, mode="exact",
-                                         bit_budget=bit_budget)
+                    est = delta_estimate(f, D, k_v, v, bit_budget=bit_budget)
                     break
                 except BitBudgetError:
                     if k_v == 0:
                         raise
                     k_v //= 2
-                    warnings.append(
-                        f"bit budget at {v}: retrying with k={k_v}")
+                    warnings.append(f"budget at {v}: retrying with k={k_v}")
         else:
             # L is v-integral with unit norm: the per-step constant is 0,
             # so Delta_v(D) = lambda_v(D) exactly

@@ -27,7 +27,8 @@ class InternalError(RuntimeError):
 
 
 class BitBudgetError(RuntimeError):
-    """Exact-mode coefficient growth exceeded the configured budget."""
+    """A computation would outgrow its budget: exact-mode coefficient bits,
+    or the memory of a scaled-mode step."""
 
 
 def vp_int(n: int, p: int) -> int:

@@ -52,6 +52,16 @@ class TestEscapeRate:
                                "--divisor", mapfile("d.json", DIVH)])
         assert code == 2
 
+    def test_scaled_budget_refusal_exit2(self, capsys, mapfile):
+        # N=2 d=3 at infinity: the step from degree 243 is predicted far
+        # over the scaled memory budget and refused before it starts
+        m = {"N": 2, "d": 3, "A": [["1", "0"], ["0", "1"]], "b": ["2", "-1/2"]}
+        D = {"vars": 3, "terms": [{"exps": [1, 0, 0], "coeff": "1"}]}
+        code = main(["escape-rate", "--map", mapfile("m.json", m),
+                     "--divisor", mapfile("d.json", D), "--iters", "6"])
+        assert code == 2
+        assert "lower k" in capsys.readouterr().err
+
     def test_output_roundtrips_as_input(self, capsys, mapfile, tmp_path):
         code, out = run(capsys, ["escape-rate", "--map", mapfile("m.json", MAP3),
                                  "--divisor", mapfile("d.json", DIV0),
