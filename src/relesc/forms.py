@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .rational import (InternalError, UsageError, det_exact, parse_rational,
-                       format_rational, trial_division)
+                       factorization, format_rational)
 
 ExpTuple = tuple[int, ...]
 
@@ -373,7 +373,7 @@ def pushforward_terms(terms: dict, d: int, n: int) -> dict:
         return {}
     base = sum(next(iter(terms))) * d ** (n - 1) + 1
     cur = _pack(terms, base)
-    primes = list(trial_division(d))
+    primes = factorization(d)
     for var in range(n - 1):  # X_n is not twisted
         shift, stride = base ** var, 1
         for p in primes:

@@ -22,8 +22,7 @@ from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, MinCritMap,
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
-                       lcm_denominators, prime_factors, primes_upto,
-                       support_primes, vp)
+                       lcm_denominators, prime_factors, primes_upto, vp)
 
 PADIC_K_MAX = {1: 8, 2: 5}
 PADIC_DEGREE_CAP = 32
@@ -81,17 +80,14 @@ def relative_height(D: Divisor):
 
 
 def relative_height_by_places(D: Divisor):
-    """Explicit sum of lambda_v(D) over the supporting places (used as a
-    cross-check of the primitive-integer shortcut)."""
-    F = D.form
-    F0 = slice_form(F, 0)
-    if F0.is_zero():
+    """Explicit sum of lambda_v(D) over infinity and the primes of
+    content(F_0), used as a cross-check of the primitive-integer shortcut.
+    F is primitive, so lambda_p(D) = v_p(content F_0) log p vanishes at
+    every other prime."""
+    if slice_form(D.form, 0).is_zero():
         raise DomainError("relative height undefined: divisor contains H")
-    primes = set()
-    for c in F.coefficients():
-        primes |= prime_factors(int(c))
     total = lambda_local(D, INF).to_mpf()
-    for p in sorted(primes):
+    for p in divisor_content_primes(D):
         total += lambda_local(D, Place(p)).to_mpf()
     return total
 
@@ -155,11 +151,11 @@ def map_bad_primes(f: MinCritMap) -> list[int]:
     """Primes where L is not integral (denominators of A or b entries).
 
     A in SL_N integral at p forces A^{-1} = adj(A) integral at p, so the
-    inverse contributes nothing new.
+    inverse contributes nothing new.  Only the lcm of the denominators is
+    factored: a numerator cannot make a valuation negative.
     """
-    xs = [x for row in f.A for x in row] + list(f.b)
-    return sorted(p for p in support_primes(xs)
-                  if any(vp(x, p) < 0 for x in xs if x != 0))
+    den = lcm_denominators([x for row in f.A for x in row] + list(f.b))
+    return sorted(prime_factors(den)) if den > 1 else []
 
 
 def divisor_content_primes(D: Divisor) -> list[int]:
@@ -172,17 +168,16 @@ def divisor_content_primes(D: Divisor) -> list[int]:
     return sorted(prime_factors(g)) if g > 1 else []
 
 
-def auto_places(f: MinCritMap, D: Divisor | None = None) -> list[Place]:
+def auto_places(f: MinCritMap, D: Divisor, bad: list[int]) -> list[Place]:
     """The finite place set outside which every local contribution and
     every tail constant vanishes exactly: infinity, the small primes where
     the per-place constants can be nonzero, primes in the denominators of
     the map data, and primes dividing the content of the slice-0 form.
     (The small primes contribute zero whenever L is integral there; they
-    are carried through the zero-cost shortcut.)"""
+    are carried through the zero-cost shortcut.)  bad is map_bad_primes(f),
+    which the caller needs too."""
     ps = set(primes_upto(constants_prime_bound(f.N, f.d)))
-    ps |= set(map_bad_primes(f))
-    if D is not None:
-        ps |= set(divisor_content_primes(D))
+    ps.update(bad, divisor_content_primes(D))
     return [INF] + [Place(p) for p in sorted(ps)]
 
 
@@ -214,8 +209,9 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         raise UsageError(f"unknown mode {mode!r}")
     want_global = places is None and (mode == "global-exact" or (
         mode == "auto" and ((N == 1 and k <= 10) or (N == 2 and k <= 3))))
+    bad = map_bad_primes(f)
     if places is None:
-        places = auto_places(f, D)
+        places = auto_places(f, D, bad)
     elif mode == "global-exact":
         raise UsageError("global-exact mode takes no place list")
     if want_global:
@@ -237,7 +233,6 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
             warnings.append(f"global-exact overflowed bit budget: {exc}")
 
     # per-place mode
-    bad = set(map_bad_primes(f))
     value = mp.mpf(0)
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}

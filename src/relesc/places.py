@@ -22,8 +22,8 @@ from math import factorial
 import mpmath as mp
 
 from .forms import HomogeneousForm
-from .rational import (UsageError, det_exact, matrix_inverse_exact,
-                       trial_division, vp)
+from .rational import (UsageError, det_exact, is_prime, matrix_inverse_exact,
+                       vp, vp_int)
 
 MIN_DPS = 50
 
@@ -59,9 +59,8 @@ class Place:
 
     def __post_init__(self):
         if self.p is not None:
-            p = self.p
-            if p < 2 or next(trial_division(p)) != p:
-                raise UsageError(f"{p} is not prime")
+            if not is_prime(self.p):
+                raise UsageError(f"{self.p} is not prime")
 
     @property
     def is_arch(self) -> bool:
@@ -306,8 +305,16 @@ def vector_norm_log(xs, v: Place) -> LocalLog:
         return LocalLog.neg_inf(v)
     if v.is_arch:
         return LocalLog.arch(_arch_log_fraction(max(abs(x) for x in nz)))
-    vmin = min(vp(x, v.p) for x in nz)
-    return LocalLog.padic(v, Fraction(-vmin))
+    p = v.p
+    # p in a denominator means a negative valuation, which decides the min
+    # (a reduced fraction then has a numerator prime to p) ...
+    neg = [vp_int(x.denominator, p) for x in nz if x.denominator % p == 0]
+    if neg:
+        return LocalLog.padic(v, Fraction(max(neg)))
+    # ... otherwise one numerator prime to p makes the min 0
+    if any(x.numerator % p for x in nz):
+        return LocalLog.padic(v, Fraction(0))
+    return LocalLog.padic(v, Fraction(-min(vp_int(x.numerator, p) for x in nz)))
 
 
 def matrix_norm_log(A, v: Place) -> LocalLog:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -134,6 +135,17 @@ class TestCriticalHeight:
         assert abs(sum(float(e["error"]) for e in parts.values())
                    - float(obj["error"])) < 1e-12
 
+
+    def test_uncertifiable_prime_denominator_exit2(self, capsys, mapfile):
+        # 2^89 - 1 is prime but above the deterministic Miller-Rabin bound:
+        # the place set is refused at once instead of trial-dividing forever
+        m = {"N": 1, "d": 2, "A": [["1"]], "b": [f"1/{2**89 - 1}"]}
+        t0 = time.perf_counter()
+        code = main(["critical-height", "--map", mapfile("m.json", m)])
+        assert time.perf_counter() - t0 < 10
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "certify" in err
 
 class TestGoodReduction:
     def test_exit_codes(self, capsys, mapfile):

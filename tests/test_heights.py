@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -14,6 +18,8 @@ from relesc.heights import (good_reduction, height_divisor, main_bound_constants
                             thm_main_bounds)
 from relesc.places import INF, Place
 from relesc.rational import DomainError, UsageError, vp
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def near(x, y, tol=1e-25):
@@ -167,6 +173,25 @@ class TestCriticalHeight:
     def test_c3_value(self):
         g = relative_critical_height(unicritical_map(2, Q(3)))
         assert abs(float(g.value) - 0.6238127498859630) < 1e-6
+
+    def test_two_large_denominator_primes_end_promptly(self):
+        """c = 1/(1000000007 * 998244353) takes both primes as places in a
+        child capped at 3 GiB of address space and 10 s (trial division up
+        to sqrt(c's denominator) did not end in 30 s)."""
+        code = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+            sys.path.insert(0, sys.argv[1])
+            from fractions import Fraction as Q
+            from relesc.divisors import unicritical_map
+            from relesc.heights import relative_critical_height
+            g = relative_critical_height(unicritical_map(2, Q(1, 1000000007 * 998244353)))
+            print(" ".join(repr(v) for v in g.places_iterated))
+        """)
+        out = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                             capture_output=True, text=True, timeout=10)
+        assert out.returncode == 0, out.stderr
+        assert {"1000000007", "998244353"} <= set(out.stdout.split())
 
     def test_n2_b0_preperiodic(self):
         f = MinCritMap(2, 2, [[Q(2), Q(5)], [Q(1), Q(3)]], [Q(0), Q(0)])

@@ -12,8 +12,8 @@ import relesc
 from relesc.forms import HomogeneousForm as HF, form_product
 from relesc.places import (ARCH_SLACK, INF, LocalLog, Place, gauss_norm_log,
                            log_abs, log_plus_int, matrix_lambda, matrix_xi,
-                           place_constants)
-from relesc.rational import UsageError, support_primes
+                           place_constants, vector_norm_log)
+from relesc.rational import UsageError, support_primes, vp_int
 
 P2, P3, P5, P7 = Place(2), Place(3), Place(5), Place(7)
 
@@ -104,6 +104,69 @@ class TestGaussNorm:
                 - gauss_norm_log(F, INF).to_mpf() - gauss_norm_log(G, INF).to_mpf()
             bound = 2 * N * (F.degree + G.degree) * mp.log(2)
             assert abs(lhs) <= bound + ARCH_SLACK
+
+
+def _vp_brute(n: int, p: int) -> int:
+    """v_p of a nonzero integer by repeated division."""
+    n, v = abs(n), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class TestFiniteShortcuts:
+    """vector_norm_log at p reads as few valuations as its answer needs, and
+    vp_int descends towers once; both against brute force."""
+
+    def _unit(self, rng, p):
+        u = rng.randrange(1, 10**rng.randrange(1, 30))
+        return u if u % p else u + 1
+
+    def _entry(self, rng, p, how):
+        if how == "zero":
+            return 0
+        x = rng.choice((-1, 1)) * self._unit(rng, p) * p ** rng.randrange(
+            1 if how == "divisible" else 0, 40)
+        if how == "den":
+            return Q(x, self._unit(rng, p) * p ** rng.randrange(1, 40))
+        return Q(x, self._unit(rng, p)) if rng.random() < 0.5 else x
+
+    def test_vector_norm_log_is_min_vp(self):
+        rng = random.Random(61)
+        for p in (2, 3, 5, 999983):
+            v = Place(p)
+            for trial in range(120):
+                kinds = ["mixed", "divisible", "den"][trial % 3]
+                xs = []
+                for _ in range(rng.randrange(1, 9)):
+                    how = rng.choice(("zero", kinds, "mixed"))
+                    if kinds == "divisible" and how == "mixed":
+                        how = "divisible"
+                    xs.append(self._entry(rng, p, how))
+                rng.shuffle(xs)
+                nz = [Q(x) for x in xs if x != 0]
+                got = vector_norm_log(xs, v)
+                if not nz:
+                    assert got.kind == "neg"
+                    continue
+                want = min(_vp_brute(x.numerator, p) - _vp_brute(x.denominator, p)
+                           for x in nz)
+                assert got.kind == "fin" and got.r == -want, (p, xs)
+        assert vector_norm_log([0, Q(0)], P3).kind == "neg"
+        assert vector_norm_log([0, 9, Q(27, 2)], P3).r == -2
+        assert vector_norm_log([0, 9, Q(1, 3)], P3).r == 1
+
+    def test_vp_int_is_repeated_division(self):
+        rng = random.Random(67)
+        for p in (2, 3, 999983):
+            for v in range(301):
+                n = rng.choice((-1, 1)) * self._unit(rng, p) * p**v
+                assert vp_int(n, p) == _vp_brute(n, p) == v
+            assert vp_int(p**300, p) == 300
+            assert vp_int(-(p**300) + 1, p) == 0
+        with pytest.raises(ValueError):
+            vp_int(0, 2)
 
 
 class TestMatrixFunctionals:
