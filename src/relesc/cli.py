@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -312,7 +313,7 @@ def _pcf_scan_n2(args, lo: Fraction, hi: Fraction) -> int:
     d = int(spec["d"])
     A = [[Fraction(x) for x in row] for row in spec["A"]]
     candidates = []
-    b_lo, b_hi = int(lo), int(hi)
+    b_lo, b_hi = math.ceil(lo), math.floor(hi)
     for b1 in range(b_lo, b_hi + 1):
         for b2 in range(b_lo, b_hi + 1):
             f = MinCritMap(2, d, A, [Fraction(b1), Fraction(b2)])

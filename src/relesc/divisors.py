@@ -332,6 +332,27 @@ def delta_tail_bound(f: MinCritMap, deg: int, k: int, v: Place) -> LocalLog:
     return tail + consts.c1.scaled(c1_geom)
 
 
+def scaled_depth(N: int, d: int, deg: int, k: int) -> int:
+    """Deepest j <= k whose scaled steps, from a divisor of degree deg, are
+    all predicted to fit SCALED_STEP_BYTES."""
+    for j in range(k):
+        if step_bytes(N, d, deg) > SCALED_STEP_BYTES:
+            return j
+        deg *= d ** (N - 1)
+    return k
+
+
+def truncated_estimate(f: MinCritMap, deg: int, lam: LocalLog, k: int,
+                       mode: str = "exact") -> Estimate:
+    """Estimate of Delta_v(D) for D of degree deg, read off
+    lam = lambda_v(f_*^k D): lam / d^{kN} with the certified tail bound as
+    error."""
+    v = lam.place
+    return Estimate(value=lam.scaled(Fraction(1, f.d ** (f.N * k))),
+                    error=delta_tail_bound(f, deg, k, v),
+                    iterations_used=k, place=v, mode=mode)
+
+
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
                    mode: str | None = None,
                    bit_budget: int = DEFAULT_BIT_BUDGET) -> Estimate:
@@ -367,22 +388,15 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
             G = pushforward_map(f, G, bit_budget=bit_budget)
         lam = lambda_local(G, v)
     else:
-        deg = D.degree
-        for _ in range(k):  # refuse before allocating anything
-            need = step_bytes(N, d, deg)
-            if need > SCALED_STEP_BYTES:
-                raise BitBudgetError(
-                    f"a scaled step at degree {deg} needs about {need >> 20} MiB "
-                    f"(over {SCALED_STEP_BYTES >> 20} MiB); lower k")
-            deg *= d ** (N - 1)
+        j = scaled_depth(N, d, D.degree, k)
+        if j < k:  # refuse before allocating anything
+            raise BitBudgetError(f"scaled step {j + 1} is predicted to need over "
+                                 f"{SCALED_STEP_BYTES >> 20} MiB; lower k to {j}")
         S = SlicedForm.from_form(D.form)
         for _ in range(k):
             S = S.power_push(d).compose_lshape(f.L_inv)
         lam = LocalLog.arch(mp.mpf(S.lam()))
-    scale = Fraction(1, Fraction(d) ** (N * k))
-    value = lam.scaled(scale)
-    error = delta_tail_bound(f, D.degree, k, v)
-    return Estimate(value=value, error=error, iterations_used=k, place=v, mode=mode)
+    return truncated_estimate(f, D.degree, lam, k, mode)
 
 
 def delta_relative_critical(f: MinCritMap, k: int, v: Place,

@@ -17,8 +17,9 @@ from math import factorial
 import mpmath as mp
 
 from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, MinCritMap,
-                       critical_divisor, delta_estimate, delta_tail_bound,
-                       lambda_local, pushforward_map, slice_form)
+                       critical_divisor, delta_estimate, lambda_local,
+                       pushforward_map, scaled_depth, slice_form,
+                       truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
@@ -121,8 +122,9 @@ def matrix_height(A):
 class GlobalEstimate:
     """Certified global value: true quantity in [value-error, value+error].
 
-    per_place maps repr(place) to that place's Estimate when the value is a
-    sum over places; it is empty in global-exact mode."""
+    per_place maps repr(place) to that place's Estimate; the value is their
+    sum.  mode is 'global-exact' when infinity read the exact iterate, else
+    'per-place'."""
 
     value: mp.mpf
     error: mp.mpf
@@ -183,18 +185,16 @@ def auto_places(f: MinCritMap, D: Divisor, bad: list[int]) -> list[Place]:
 
 def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
                               k_padic: int | None = None,
-                              mode: str = "auto",
                               bit_budget: int = DEFAULT_BIT_BUDGET,
                               places: list[Place] | None = None) -> GlobalEstimate:
-    """hat{h}_f(D) - hat{h}_{f|H}(D|_H) = sum_v Delta_{f,v}(D), truncated,
-    with the certified per-place tails summed into the error.
+    """hat{h}_f(D) - hat{h}_{f|H}(D|_H) = sum_v Delta_{f,v}(D) over places
+    (default auto_places), truncated, with the certified tails as error.
 
-    mode 'global-exact' iterates the divisor once over Z and takes the
-    relative height of the k-th push-forward; 'per-place' sums per-place
-    estimates (scaled floats at infinity, exact p-adic at the bad primes),
-    halving a place's k, with a warning, while its estimate is over budget;
-    'auto' tries global-exact for small k and falls back.  Given places,
-    only the per-place sum over exactly those places is taken.
+    D is pushed exactly once: to k when infinity is exact (small k), else to
+    min(k, k_padic).  Infinity, if exact, and the bad primes read lambda_v
+    off that iterate, or off the deepest one within the bit budget, where
+    infinity falls back to scaled at the deepest depth <= k predicted to
+    fit.  At every other place Delta_v(D) = lambda_v(D) exactly.
     """
     if D.contains_hyperplane_at_infinity():
         raise DomainError("relative canonical height undefined for D containing H")
@@ -203,53 +203,36 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         k = default_k(N)
     if k_padic is None:
         k_padic = min(k, padic_k_default(N, d, D.degree))
-    warnings: list[str] = []
-
-    if mode not in ("auto", "global-exact", "per-place"):
-        raise UsageError(f"unknown mode {mode!r}")
-    want_global = places is None and (mode == "global-exact" or (
-        mode == "auto" and ((N == 1 and k <= 10) or (N == 2 and k <= 3))))
     bad = map_bad_primes(f)
     if places is None:
         places = auto_places(f, D, bad)
-    elif mode == "global-exact":
-        raise UsageError("global-exact mode takes no place list")
-    if want_global:
+    exact_inf = INF in places and ((N == 1 and k <= 10) or (N == 2 and k <= 3))
+    exact_primes = any(not v.is_arch and v.p in bad for v in places)
+    target = k if exact_inf else min(k, k_padic) if exact_primes else 0
+    warnings: list[str] = []
+    G, depth = D, 0
+    while depth < target:
         try:
-            G = D
-            for _ in range(k):
-                G = pushforward_map(f, G, bit_budget=bit_budget)
-            scale = mp.mpf(d) ** (N * k)
-            value = relative_height(G) / scale
-            err = mp.mpf(0)
-            for v in places:
-                err += delta_tail_bound(f, D.degree, k, v).to_mpf()
-            return GlobalEstimate(value=value, error=err,
-                                  places_iterated=places, k=k,
-                                  mode="global-exact")
+            G = pushforward_map(f, G, bit_budget=bit_budget)
         except BitBudgetError as exc:
-            if mode == "global-exact":
-                raise
-            warnings.append(f"global-exact overflowed bit budget: {exc}")
+            warnings.append(f"exact iterate stops at k={depth}, over bit budget: {exc}")
+            break
+        depth += 1
+    exact_inf = exact_inf and depth == k
 
-    # per-place mode
     value = mp.mpf(0)
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}
     for v in places:
-        if v.is_arch or v.p in bad:
-            # scaled at infinity, exact at the bad primes; over budget (memory
-            # or coefficient bits), halve k
-            k_v = k if v.is_arch else min(k, k_padic)
-            while True:
-                try:
-                    est = delta_estimate(f, D, k_v, v, bit_budget=bit_budget)
-                    break
-                except BitBudgetError:
-                    if k_v == 0:
-                        raise
-                    k_v //= 2
-                    warnings.append(f"budget at {v}: retrying with k={k_v}")
+        if (v.is_arch and exact_inf) or (not v.is_arch and v.p in bad):
+            if depth < min(k, k_padic):
+                warnings.append(f"budget at {v}: retrying with k={depth}")
+            est = truncated_estimate(f, D.degree, lambda_local(G, v), depth)
+        elif v.is_arch:
+            k_v = scaled_depth(N, d, D.degree, k)
+            if k_v < k:
+                warnings.append(f"budget at {v}: retrying with k={k_v}")
+            est = delta_estimate(f, D, k_v, v, mode="scaled")
         else:
             # L is v-integral with unit norm: the per-step constant is 0,
             # so Delta_v(D) = lambda_v(D) exactly
@@ -258,9 +241,9 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         per_place[repr(v)] = est
         value += est.value.to_mpf()
         err += est.error.to_mpf()
-    return GlobalEstimate(value=value, error=err, places_iterated=places,
-                          k=k, mode="per-place", warnings=warnings,
-                          per_place=per_place)
+    return GlobalEstimate(value=value, error=err, places_iterated=places, k=k,
+                          mode="global-exact" if exact_inf else "per-place",
+                          warnings=warnings, per_place=per_place)
 
 
 def relative_critical_height(f: MinCritMap, k: int | None = None,

@@ -17,7 +17,7 @@ import mpmath as mp
 from .divisors import (Divisor, Estimate, delta_estimate, delta_tail_bound,
                        unicritical_map)
 from .places import INF, LocalLog, Place
-from .rational import UsageError, prime_factors, vp
+from .rational import UsageError, vp
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,15 @@ class PcfResult:
 def is_pcf(m: UnicriticalMap) -> PcfResult:
     """Exact, terminating PCF test over Q.
 
-    Non-integral c has bad reduction at a denominator prime, where the
-    critical orbit valuation diverges, so only integer c can be PCF; the
-    integer orbit then either exceeds the escape radius or revisits a
-    value (both within finitely many steps).
+    Non-integral c has bad reduction at every prime of its denominator,
+    where the critical orbit valuation diverges, so only integer c can be
+    PCF, and the denominator is never factored; the integer orbit then
+    either exceeds the escape radius or revisits a value (both within
+    finitely many steps).
     """
     if m.c.denominator != 1:
-        p = min(prime_factors(m.c.denominator))
-        return PcfResult(False, f"c is non-integral: bad reduction at {p}")
+        return PcfResult(False, "c is non-integral: bad reduction at the "
+                                f"primes of {m.c.denominator}")
     c = m.c.numerator
     R = max(abs(c), 2) + 1
     z = 0

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -273,6 +274,16 @@ class TestPcfScan:
         obj = json.loads(out)
         assert [0, 0] in [c["b"] for c in obj["candidates"]]
         assert "candidates" in obj["config"]["label"]
+
+    def test_n2_scan_stays_in_range(self, capsys, mapfile):
+        mapf = mapfile("n2.json", {"N": 2, "d": 2,
+                                   "A": [["1", "0"], ["0", "1"]],
+                                   "b": ["0", "0"]})
+        code, out = run(capsys, ["pcf-scan", "--map", mapf, "--range=1/2:3/2",
+                                 "--iters", "3"])
+        assert code == 0
+        for c in json.loads(out)["candidates"]:
+            assert all(Fraction(1, 2) <= x <= Fraction(3, 2) for x in c["b"])
 
 
 class TestUsageErrors:

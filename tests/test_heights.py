@@ -8,8 +8,9 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from relesc import divisors, heights
 from relesc.divisors import (Divisor, MinCritMap, critical_divisor,
-                             unicritical_map)
+                             delta_estimate, pushforward_map, unicritical_map)
 from relesc.forms import HomogeneousForm as HF
 from relesc.heights import (good_reduction, height_divisor, main_bound_constants,
                             matrix_height, point_height,
@@ -17,7 +18,7 @@ from relesc.heights import (good_reduction, height_divisor, main_bound_constants
                             relative_height, relative_height_by_places,
                             thm_main_bounds)
 from relesc.places import INF, Place
-from relesc.rational import DomainError, UsageError, vp
+from relesc.rational import DomainError, vp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -104,7 +105,7 @@ class TestRelativeCanonicalHeight:
 
     def test_per_place_json_sums_to_totals(self):
         g = relative_canonical_height(unicritical_map(2, Q(5, 6)),
-                                      Divisor.point(Q(0)), mode="per-place")
+                                      Divisor.point(Q(0)))
         obj = g.to_json_dict(40)
         parts = obj["per_place"]
         assert list(parts) == obj["places"]
@@ -112,21 +113,44 @@ class TestRelativeCanonicalHeight:
         assert near(sum(mp.mpf(e["value"]) for e in parts.values()), g.value)
         assert near(sum(mp.mpf(e["error"]) for e in parts.values()), g.error)
 
-    def test_global_exact_agrees_with_per_place(self):
-        f = unicritical_map(2, Q(5, 3))
-        D = Divisor.point(Q(2))
-        a = relative_canonical_height(f, D, 8, mode="global-exact")
-        b = relative_canonical_height(f, D, 8, mode="per-place")
-        assert abs(float(a.value) - float(b.value)) \
-            <= float(a.error) + float(b.error) + 1e-9
+    @pytest.mark.parametrize("f, D, k", [
+        (unicritical_map(2, Q(5, 3)), Divisor.point(Q(2)), 8),
+        (MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(1, 2), Q(3)]),
+         Divisor(HF(3, 1, {(1, 0, 0): Q(1), (0, 1, 0): Q(1), (0, 0, 1): Q(4)})), 3),
+    ], ids=["n1", "n2"])
+    def test_exact_infinity_reads_one_iterate(self, f, D, k):
+        # an exact infinity takes the bad primes to its own depth k
+        g = relative_canonical_height(f, D, k, k_padic=1)
+        assert g.mode == "global-exact"
+        assert {e.iterations_used for e in g.per_place.values()} <= {0, k}
+        # oracle: the relative height of the k-th push-forward
+        G = D
+        for _ in range(k):
+            G = pushforward_map(f, G)
+        assert near(g.value, relative_height(G) / mp.mpf(f.d) ** (f.N * k), tol=1e-30)
+        assert near(sum(e.value.to_mpf() for e in g.per_place.values()), g.value)
+        # the scaled value at infinity plus the same finite parts
+        scaled = delta_estimate(f, D, k, INF, mode="scaled")
+        finite = sum(e.value.to_mpf() for v, e in g.per_place.items() if v != "inf")
+        assert abs(g.value - scaled.value.to_mpf() - finite) \
+            <= g.error + scaled.error.to_mpf() + mp.mpf("1e-9")
 
-    def test_global_exact_agrees_n2(self):
-        f = MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(1, 2), Q(3)])
-        D = Divisor(HF(3, 1, {(1, 0, 0): Q(1), (0, 1, 0): Q(1), (0, 0, 1): Q(4)}))
-        a = relative_canonical_height(f, D, 3, mode="global-exact")
-        b = relative_canonical_height(f, D, 3, mode="per-place")
-        assert abs(float(a.value) - float(b.value)) \
-            <= float(a.error) + float(b.error) + 1e-9
+    def test_bad_primes_share_one_iterate(self, monkeypatch):
+        f = unicritical_map(2, Q(1, 143))
+        D = Divisor.point(Q(0))
+        calls = []
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return pushforward_map(*a, **kw)
+
+        monkeypatch.setattr(heights, "pushforward_map", counted)
+        monkeypatch.setattr(divisors, "pushforward_map", counted)
+        g = relative_canonical_height(f, D)
+        assert len(calls) == 8
+        monkeypatch.undo()
+        for p in (11, 13):
+            assert g.per_place[str(p)] == delta_estimate(f, D, 8, Place(p), mode="exact")
 
     def test_places_restrict_the_sum(self):
         f = unicritical_map(2, Q(5, 6))
@@ -134,11 +158,10 @@ class TestRelativeCanonicalHeight:
         g = relative_canonical_height(f, D, places=[INF, Place(3)])
         assert g.mode == "per-place"
         assert list(g.per_place) == ["inf", "3"]
-        with pytest.raises(UsageError):
-            relative_canonical_height(f, D, mode="global-exact", places=[INF])
 
     def test_budget_fallback_warns(self):
-        # global-exact overflows the tiny budget, falls back per-place
+        # the exact iterate overflows the tiny budget, infinity falls back
+        # to scaled
         f = unicritical_map(2, Q(10))
         g = relative_canonical_height(f, Divisor.point(Q(0)), 9,
                                       bit_budget=256)

@@ -325,8 +325,9 @@ def test_scaled_step_refused_before_allocating():
 
 
 def test_n2_d3_height_ends_under_memory_cap():
-    """The default k=5 at infinity is over budget: the height retries at
-    k=2 and answers, in a child capped at 3 GiB of address space."""
+    """The default k=5 at infinity is over budget: the height runs at the
+    deepest predicted depth, k=3, and answers in a child capped at 3 GiB of
+    address space."""
     code = textwrap.dedent("""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
@@ -335,9 +336,11 @@ def test_n2_d3_height_ends_under_memory_cap():
         from relesc.divisors import MinCritMap
         from relesc.heights import relative_critical_height
         g = relative_critical_height(MinCritMap(2, 3, [[1, 0], [0, 1]], [2, Q(-1, 2)]))
-        print(g.per_place["inf"].iterations_used, g.warnings)
+        inf = g.per_place["inf"]
+        print(inf.iterations_used, inf.error_float(), g.warnings)
     """)
     out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("2 ") and "budget at inf" in out.stdout
+    assert out.stdout.startswith("3 ") and "budget at inf" in out.stdout
+    assert float(out.stdout.split()[1]) < 2

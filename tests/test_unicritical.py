@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -64,6 +65,12 @@ class TestPcf:
         assert is_pcf(UnicriticalMap(2, Q(-2))).pcf
         assert not is_pcf(UnicriticalMap(2, Q(1, 2))).pcf
         assert not is_pcf(UnicriticalMap(3, Q(-1))).pcf
+
+    def test_non_integral_c_needs_no_factoring(self):
+        # 2^89 - 1 is a prime too large to certify: factoring it refuses
+        t = time.perf_counter()
+        assert not is_pcf(UnicriticalMap(2, Q(1, 2**89 - 1))).pcf
+        assert time.perf_counter() - t < 1
 
     def test_d2_integer_list(self):
         # exhaustive over Z cap [-2, 2]; the escape bound makes this complete
