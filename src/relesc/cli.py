@@ -13,8 +13,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath as mp
 import numpy as np
@@ -217,6 +217,8 @@ def _parse_grid(spec: str):
 def cmd_mandel_slice(args) -> int:
     if not args.out:
         raise UsageError("mandel-slice requires --out BASENAME")
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     threshold = args.threshold
     if args.map:
         # N=2 real (b1, b2) grid with A fixed from file
@@ -224,33 +226,31 @@ def cmd_mandel_slice(args) -> int:
         if int(spec.get("N", 2)) != 2:
             raise UsageError("mandel-slice --map expects an N=2 map file")
         d = int(spec["d"])
-        A = spec["A"]
         lo, hi, _imx, steps = _parse_grid(args.grid)
         axis = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
-        vals = np.zeros((len(axis), len(axis)))
-        template = A
-        for i, b2 in enumerate(axis):
-            for j, b1 in enumerate(axis):
-                vals[i, j] = _n2_cell_value(template, b1, b2, d, args.max_iter)
+        # cells in row-major order: b2 picks the row, b1 the column
+        cells = (repeat(spec["A"]), np.tile(axis, len(axis)),
+                 np.repeat(axis, len(axis)), repeat(d), repeat(args.max_iter))
+        workers = min(args.threads, len(axis) ** 2)
+        if workers > 1:
+            # imported here, as the pool's modules add ~1 MB to the peak RSS
+            # of every process that imports this one.  Forked workers inherit
+            # the parent's modules and mpmath precision, so each cell comes
+            # out as without the pool
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                flat = list(pool.map(_n2_cell_value, *cells))
+        else:
+            flat = list(map(_n2_cell_value, *cells))
+        vals = np.array(flat).reshape(len(axis), len(axis))
     else:
         d = args.d
         re0, re1, imx, steps = _parse_grid(args.grid)
         res = np.linspace(re0, re1, steps) if steps > 1 else np.array([re0])
         ims = np.linspace(-imx, imx, steps) if steps > 1 else np.array([imx])
-        rows = [None] * len(ims)
-
-        def work(i):
-            cs = res + 1j * ims[i]
-            return i, _escape_values(d, cs.astype(np.complex128), args.max_iter)
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                for i, row in pool.map(work, range(len(ims))):
-                    rows[i] = row
-        else:
-            for i in range(len(ims)):
-                rows[i] = work(i)[1]
-        vals = np.vstack(rows)
+        vals = _escape_values(d, res[None, :] + 1j * ims[:, None], args.max_iter)
     csv_path = args.out + ".csv"
     pgm_path = args.out + ".pgm"
     with open(csv_path, "w") as fh:
@@ -392,8 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default=None, help="N=2: map JSON fixing A")
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--threads", type=int, default=1,
-                   help="threads over the rows of an N=1 grid; "
-                        "--map grids run on one thread")
+                   help="worker processes over the cells of a --map grid "
+                        "(forked, so the OS must support fork; each worker "
+                        "may add up to 1 GiB to peak memory); an N=1 grid "
+                        "is one vectorised call")
     p.add_argument("--out", default=None, help="output basename")
     p.set_defaults(fn=cmd_mandel_slice)
 

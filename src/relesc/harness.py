@@ -732,7 +732,9 @@ def _check_thm_main(inst: Instance) -> CheckResult:
     f = inst.f
     k = inst.profile.k_arch
     # huge-height targeted maps: exact p-adic coefficient sizes scale with
-    # h(b), so truncate at depth 1 there (the certified error merely grows)
+    # h(b), so ask for k_padic=1 (the certified error merely grows).  It
+    # only takes effect when infinity is scaled: with infinity exact (e.g.
+    # n2d2-big, k_arch=3) the primes read the one iterate at depth k_arch
     k_padic = 1 if inst.profile.targeted else (None if f.N == 1 else 3)
     rep = thm_main_bounds(f, k, k_padic=k_padic)
     ok = rep["verdict"] != "violation"

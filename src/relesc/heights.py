@@ -194,7 +194,8 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     min(k, k_padic).  Infinity, if exact, and the bad primes read lambda_v
     off that iterate, or off the deepest one within the bit budget, where
     infinity falls back to scaled at the deepest depth <= k predicted to
-    fit.  At every other place Delta_v(D) = lambda_v(D) exactly.
+    fit.  At every other place Delta_v(D) = lambda_v(D) exactly.  A scaled
+    infinity adds a warning: its radius does not cover float rounding.
     """
     if D.contains_hyperplane_at_infinity():
         raise DomainError("relative canonical height undefined for D containing H")
@@ -233,6 +234,8 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
             if k_v < k:
                 warnings.append(f"budget at {v}: retrying with k={k_v}")
             est = delta_estimate(f, D, k_v, v, mode="scaled")
+            warnings.append(f"scaled at {v}: the radius covers the truncation "
+                            "tail, not float rounding")
         else:
             # L is v-integral with unit norm: the per-step constant is 0,
             # so Delta_v(D) = lambda_v(D) exactly

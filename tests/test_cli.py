@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import time
 from fractions import Fraction
@@ -242,6 +244,64 @@ class TestMandelSlice:
     def test_requires_out(self, capsys):
         code, _ = run(capsys, ["mandel-slice", "--grid=0:1:1:4"])
         assert code == 2
+
+    UNIPOTENT = {"N": 2, "d": 2, "A": [["1", "1"], ["0", "1"]], "b": ["0", "0"]}
+
+    def test_pool_matches_serial(self, capsys, mapfile, tmp_path):
+        mapf = mapfile("u.json", self.UNIPOTENT)
+        outs = {}
+        for threads in ("2", "1"):
+            base = str(tmp_path / f"u{threads}")
+            code, _ = run(capsys, ["mandel-slice", "--map", mapf, "--grid=-3:3:0:5",
+                                   "--max-iter", "3", "--threads", threads,
+                                   "--out", base])
+            assert code == 0
+            assert multiprocessing.active_children() == []
+            outs[threads] = [open(base + ext, "rb").read() for ext in (".csv", ".pgm")]
+        assert outs["2"] == outs["1"]
+        # rows run over b2, columns over b1: the cell b = (3, -3) is row 0,
+        # column 4 (the transposed cell b = (-3, 3) reads 1.29616...)
+        rows = [l.split(b",") for l in outs["2"][0].splitlines()[1:]]
+        assert abs(float(rows[0][4]) - 1.151761526693137) < 1e-9
+
+    def test_pool_refusal_reaches_handler(self, capsys, mapfile, tmp_path):
+        # N=2, d=3 at depth 6 is refused by scaled_depth before any allocation
+        mapf = mapfile("d3.json", {"N": 2, "d": 3, "A": [["1", "0"], ["0", "1"]],
+                                   "b": ["0", "0"]})
+        errs = {}
+        for threads in ("2", "1"):
+            code = main(["mandel-slice", "--map", mapf, "--grid=-1:1:0:2",
+                         "--max-iter", "6", "--threads", threads,
+                         "--out", str(tmp_path / "r")])
+            assert code == 2
+            errs[threads] = capsys.readouterr().err
+        assert errs["1"].startswith("error: scaled step")
+        assert errs["2"] == errs["1"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, capsys, mapfile, tmp_path,
+                                             no_pool, threads):
+        mapf = mapfile("u.json", self.UNIPOTENT)
+        code = main(["mandel-slice", "--map", mapf, "--grid=-3:3:0:5",
+                     "--max-iter", "3", "--threads", threads,
+                     "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_one_cell_starts_no_pool(self, capsys, mapfile, tmp_path, no_pool):
+        mapf = mapfile("u.json", self.UNIPOTENT)
+        base = str(tmp_path / "one")
+        code, out = run(capsys, ["mandel-slice", "--map", mapf, "--grid=1:1:0:1",
+                                 "--max-iter", "3", "--threads", "8",
+                                 "--out", base])
+        assert code == 0 and json.loads(out)["cells"] == 1
 
 
 class TestPcfScan:

@@ -170,6 +170,21 @@ class TestRelativeCanonicalHeight:
         assert abs(float(g.value) - float(
             relative_canonical_height(f, Divisor.point(Q(0)), 9).value)) < 1e-6
 
+    def test_scaled_infinity_is_flagged(self):
+        # one warning when infinity runs scaled (k > 10 for N = 1), none
+        # when it reads the exact iterate; the two agree within their radii
+        f = unicritical_map(2, Q(3, 2))
+        D = Divisor.point(Q(0))
+        scaled = relative_canonical_height(f, D, 12)
+        flags = [w for w in scaled.warnings if "rounding" in w]
+        assert scaled.per_place["inf"].mode == "scaled"
+        assert flags == ["scaled at inf: the radius covers the truncation "
+                         "tail, not float rounding"]
+        exact = relative_canonical_height(f, D, 10)
+        assert exact.mode == "global-exact"
+        assert not any("rounding" in w for w in exact.warnings)
+        assert abs(scaled.value - exact.value) <= scaled.error + exact.error
+
     def test_padic_budget_degrades_depth(self):
         # a bad prime whose exact iteration cannot reach k_padic in budget
         f = unicritical_map(2, Q(999998, 7))
