@@ -124,11 +124,15 @@ def cmd_good_reduction(args) -> int:
 
 def _profiles_from_file(path: str) -> list[Profile]:
     raw = _load_json(path)
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise UsageError("a profile file holds a JSON list of objects")
     out = []
     for entry in raw:
-        entry = dict(entry)
-        entry["place_set"] = tuple(entry.get("place_set", ("inf", "2", "3")))
-        out.append(Profile(**entry))
+        entry = {k: tuple(x) if isinstance(x, list) else x for k, x in entry.items()}
+        try:
+            out.append(Profile(**entry))
+        except TypeError as exc:  # a key that is not a field, or a missing one
+            raise UsageError(f"bad profile: {exc}") from None
     return out
 
 

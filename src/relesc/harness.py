@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import mpmath as mp
@@ -34,25 +35,10 @@ from .forms import (HomogeneousForm, compose_linear, form_product,
                     power_pullback, power_pushforward, slice_form)
 from .heights import thm_main_bounds
 from .places import (ARCH_SLACK, INF, LocalLog, Place, gauss_norm_log,
-                     local_min, log_abs, log_plus_int, matrix_lambda,
-                     matrix_norm_log, matrix_xi, vector_norm_log)
+                     local_max, local_min, log_abs, log_plus_int,
+                     matrix_lambda, matrix_norm_log, matrix_xi,
+                     vector_norm_log)
 from .rational import UsageError, support_primes
-
-LEMMA_IDS = (
-    "NORM_PROD", "NORM_SUMPROD",
-    "SUM_LAMBDA", "SUM_MU", "MU_NONNEG_LAMBDA",
-    "MATRIX_XI_LE", "MATRIX_LAMBDA_INV",
-    "POWER_PULL_LAMBDA", "POWER_PULL_MU", "POWER_PUSH_LAMBDA", "POWER_PUSH_MU",
-    "LINEAR_PULL", "LINEAR_PUSH",
-    "TC_MU",
-    "KEY_MU", "KEY_LAMBDA",
-    "BASIN",
-    "DELTA_SANDWICH",
-    "CRIT_LOWER", "CRIT_UPPER",
-    "THM_MAIN",
-    "PRODUCT_FORMULA",
-    "MU_LE_LAMBDA_OVER_DEG",
-)
 
 CONDITIONAL = {"TC_MU", "KEY_MU", "KEY_LAMBDA", "BASIN", "MU_NONNEG_LAMBDA"}
 
@@ -68,6 +54,19 @@ class Profile:
     targeted: bool = False
     k_arch: int = 10
     k_padic: int = 6
+
+    def __post_init__(self):
+        for key, low in (("N", 1), ("d", 2), ("coeff_bound", 1), ("deg_bound", 1),
+                         ("k_arch", 0), ("k_padic", 0)):
+            x = getattr(self, key)
+            if isinstance(x, bool) or not isinstance(x, int) or x < low:
+                raise UsageError(f"profile {self.name!r}: {key} must be an "
+                                 f"integer >= {low}, not {x!r}")
+        if not isinstance(self.place_set, tuple) or not self.place_set:
+            raise UsageError(f"profile {self.name!r}: place_set must be a non-empty "
+                             f"tuple of place tokens, not {self.place_set!r}")
+        for tok in self.place_set:
+            Place.parse(tok)
 
 
 def default_profiles() -> list[Profile]:
@@ -95,10 +94,13 @@ class Instance:
     resamples: int = 0
     _delta_memo: dict = field(default_factory=dict, repr=False)
 
-    def delta(self, D: Divisor, k: int, v: Place):
-        key = (D.form.key(), k, repr(v))
+    def delta(self, D: Divisor):
+        """Delta_f(D) at the instance's place, truncated at the profile's
+        depth for that place (k_arch or k_padic)."""
+        key = D.form.key()
         if key not in self._delta_memo:
-            self._delta_memo[key] = delta_estimate(self.f, D, k, v)
+            k = self.profile.k_arch if self.place.is_arch else self.profile.k_padic
+            self._delta_memo[key] = delta_estimate(self.f, D, k, self.place)
         return self._delta_memo[key]
 
     def to_json_dict(self) -> dict:
@@ -218,9 +220,7 @@ def _targeted_b(rng: random.Random, N: int, d: int, v: Place,
     with slack, sampled deterministically."""
     if v.is_arch:
         consts = _places.place_constants(N, d, v)
-        need = (consts.c8.to_mpf() * (mp.sqrt(d) - 1) + consts.c3.to_mpf()
-                + consts.c5.to_mpf() + (2 * d * N + 1) * mp.log(2)
-                + (2 * N - 2 + d * N * (d**N - 1)) * mp.log(d))
+        need = _places.basin_constant(N, d, consts.c3, consts.c5, consts.c8).to_mpf()
         # allow log||A^-1|| + d xi(A) headroom for bounded integer A
         log2_scale = int(need / ((d - 1) * mp.log(2))) + 40
         b = [Fraction(rng.randint(1, bound) * 2 ** log2_scale
@@ -265,7 +265,7 @@ def random_instance(seed: int, profile: Profile) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# comparison helpers
+# comparison atoms
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -280,44 +280,42 @@ class CheckResult:
     note: str = ""
 
 
-def _le(lhs: LocalLog, rhs: LocalLog) -> tuple[bool, float]:
-    """lhs <= rhs with archimedean slack; returns (holds, margin)."""
+def _le(lhs: LocalLog, rhs: LocalLog) -> tuple:
+    """Atom for lhs <= rhs: exact at a p-adic place, within ARCH_SLACK at
+    the archimedean one."""
+    sides = (float(lhs.to_mpf()), float(rhs.to_mpf()))
     if lhs.kind == "neg" or rhs.kind == "pos":
-        return True, float("inf")
+        return (True, float("inf")) + sides
     if lhs.kind == "pos" or rhs.kind == "neg":
-        return False, float("-inf")
+        return (False, float("-inf")) + sides
     diff = rhs.to_mpf() - lhs.to_mpf()
-    if lhs.place.is_arch:
-        return diff >= -ARCH_SLACK, float(diff)
-    return (rhs.r - lhs.r) >= 0, float(diff)
+    holds = diff >= -ARCH_SLACK if lhs.place.is_arch else rhs.r >= lhs.r
+    return (holds, float(diff)) + sides
 
 
-def _eq(lhs: LocalLog, rhs: LocalLog) -> tuple[bool, float]:
+def _abs_le(x: LocalLog, bound: LocalLog) -> list:
+    """Atoms for |x| <= bound: x <= bound and -x <= bound."""
+    return [_le(x, bound), _le(-x, bound)]
+
+
+def _eq(lhs: LocalLog, rhs: LocalLog) -> tuple:
+    """Atom for lhs == rhs, exact or within ARCH_SLACK like _le."""
     ok = lhs.approx_eq(rhs)
     diff = abs(lhs.to_mpf() - rhs.to_mpf())
-    return ok, float(ARCH_SLACK - diff) if lhs.place.is_arch else (0.0 if ok else -float(diff))
+    margin = float(ARCH_SLACK - diff) if lhs.place.is_arch else (0.0 if ok else -float(diff))
+    return ok, margin, float(lhs.to_mpf()), float(rhs.to_mpf())
 
 
-def _result(lemma, seed, checks, vacuous=False, note="") -> CheckResult:
-    """Combine atomic (holds, margin, lhs, rhs) tuples; report the tightest."""
-    if vacuous or not checks:
-        return CheckResult(lemma, True, True, 0.0, 0.0, seed, float("inf"), note)
-    worst = min(checks, key=lambda c: c[1])
-    holds = all(c[0] for c in checks)
-    return CheckResult(lemma, holds, False, worst[2], worst[3], seed,
-                       worst[1], note)
-
-
-def _interval_le(lo_val, err, rhs) -> tuple[bool, float, float, float]:
+def _interval_le(est, rhs) -> tuple:
     """Certified 'value <= rhs': fails only when value - err > rhs (+slack)."""
-    lhs = lo_val - err
+    lhs = est.value.to_mpf() - est.error.to_mpf()
     diff = rhs - lhs
     return diff >= -float(ARCH_SLACK), float(diff), float(lhs), float(rhs)
 
 
-def _interval_ge(val, err, rhs) -> tuple[bool, float, float, float]:
+def _interval_ge(est, rhs) -> tuple:
     """Certified 'value >= rhs': fails only when value + err < rhs (-slack)."""
-    lhs = val + err
+    lhs = est.value.to_mpf() + est.error.to_mpf()
     diff = lhs - rhs
     return diff >= -float(ARCH_SLACK), float(diff), float(lhs), float(rhs)
 
@@ -326,62 +324,63 @@ def _interval_ge(val, err, rhs) -> tuple[bool, float, float, float]:
 # the checks
 # ---------------------------------------------------------------------------
 
-def check(lemma: str, inst: Instance) -> CheckResult:
-    if lemma not in LEMMA_IDS:
+def _registered(lemma: str):
+    if lemma not in _CHECKS:
         raise UsageError(f"unknown lemma id {lemma!r}")
-    return _CHECKS[lemma](inst)
+    return _CHECKS[lemma]
 
 
-def _n_of(inst: Instance) -> int:
-    return inst.f.N
+def check(lemma: str, inst: Instance) -> CheckResult:
+    """Run one registered lemma on inst.
+
+    A check returns its atoms (holds, margin, lhs, rhs), one per comparison
+    it makes, optionally paired with a note as (atoms, note), or None when
+    inst misses the lemma's hypotheses.  The result reports the atom with
+    the smallest margin."""
+    atoms, note = _registered(lemma)(inst), ""
+    if isinstance(atoms, tuple):
+        atoms, note = atoms
+    if not atoms:
+        return CheckResult(lemma, True, True, 0.0, 0.0, inst.seed, float("inf"))
+    _, margin, lhs, rhs = min(atoms, key=lambda a: a[1])
+    return CheckResult(lemma, all(a[0] for a in atoms), False, lhs, rhs,
+                       inst.seed, margin, note)
 
 
-def _check_norm_prod(inst: Instance) -> CheckResult:
+def _check_norm_prod(inst: Instance):
     v = inst.place
-    N = _n_of(inst)
+    N = inst.f.N
     fs = [D.form for D in inst.divisors]
     prod = form_product(fs)
     lhs = gauss_norm_log(prod, v) - sum(
         (gauss_norm_log(F, v) for F in fs[1:]), gauss_norm_log(fs[0], v))
     bound = log_plus_int(2, v).scaled(2 * N * sum(F.degree for F in fs))
-    ok1, m1 = _le(lhs, bound)
-    ok2, m2 = _le(-lhs, bound)
-    b = float(bound.to_mpf())
-    x = float(lhs.to_mpf())
-    return _result("NORM_PROD", inst.seed,
-                   [(ok1, m1, x, b), (ok2, m2, -x, b)])
+    return _abs_le(lhs, bound)
 
 
-def _check_norm_sumprod(inst: Instance) -> CheckResult:
+def _check_norm_sumprod(inst: Instance):
     v = inst.place
-    N = _n_of(inst)
+    N = inst.f.N
     A, B = inst.divisors[0].form, inst.divisors[1].form
     prod = form_product([A, B])
     delta = prod.degree
-    # a second product of the same total degree
-    C = form_product([inst.divisors[1].form, inst.divisors[0].form])
-    # and a genuinely different summand from the mu-divisors when degrees fit
-    summands = [[A, B], [C]]
+    # a second product of the same total degree; it equals A*B, so the sum
+    # is 2AB and the check never sees cancellation between products
+    C = form_product([B, A])
     total = prod + C
     if total.is_zero():
         lhs = LocalLog.neg_inf(v)
     else:
         lhs = gauss_norm_log(total, v)
-    best = None
-    for group in summands:
-        s = sum((gauss_norm_log(F, v) for F in group[1:]),
-                gauss_norm_log(group[0], v))
-        best = s if best is None or s.cmp(best) > 0 else best
-    rhs = best + log_plus_int(len(summands), v) \
-        + log_plus_int(2, v).scaled(2 * N * delta)
-    ok, m = _le(lhs, rhs)
-    return _result("NORM_SUMPROD", inst.seed,
-                   [(ok, m, float(lhs.to_mpf()), float(rhs.to_mpf()))])
+    best = local_max([gauss_norm_log(A, v) + gauss_norm_log(B, v),
+                      gauss_norm_log(C, v)])
+    rhs = best + log_plus_int(2, v) + log_plus_int(2, v).scaled(2 * N * delta)
+    return [_le(lhs, rhs)]
 
 
-def _check_sum_lambda(inst: Instance) -> CheckResult:
+def _check_sum_lambda(inst: Instance):
     v = inst.place
-    N = _n_of(inst)
+    N = inst.f.N
     Ds = inst.divisors
     total = Ds[0]
     for D in Ds[1:]:
@@ -389,16 +388,12 @@ def _check_sum_lambda(inst: Instance) -> CheckResult:
     lhs = lambda_local(total, v) - sum(
         (lambda_local(D, v) for D in Ds[1:]), lambda_local(Ds[0], v))
     bound = log_plus_int(2, v).scaled(4 * N * sum(D.degree for D in Ds))
-    ok1, m1 = _le(lhs, bound)
-    ok2, m2 = _le(-lhs, bound)
-    return _result("SUM_LAMBDA", inst.seed,
-                   [(ok1, m1, float(lhs.to_mpf()), float(bound.to_mpf())),
-                    (ok2, m2, float(-lhs.to_mpf()), float(bound.to_mpf()))])
+    return _abs_le(lhs, bound)
 
 
-def _check_sum_mu(inst: Instance) -> CheckResult:
+def _check_sum_mu(inst: Instance):
     v = inst.place
-    N = _n_of(inst)
+    N = inst.f.N
     Ds = inst.mu_divisors
     total = Ds[0]
     for D in Ds[1:]:
@@ -409,90 +404,68 @@ def _check_sum_mu(inst: Instance) -> CheckResult:
     rhs = (local_min([mu_local(D, v) for D in Ds])
            - log_plus_int(2, v).scaled(2 * N)
            - log_plus_int(degsum, v).scaled(n - 1))
-    ok, m = _le(rhs, lhs)
-    return _result("SUM_MU", inst.seed,
-                   [(ok, m, float(rhs.to_mpf()), float(lhs.to_mpf()))],
-                   note="lhs/rhs swapped: bound <= mu(sum)")
+    return [_le(rhs, lhs)], "lhs/rhs swapped: bound <= mu(sum)"
 
 
-def _check_mu_nonneg_lambda(inst: Instance) -> CheckResult:
+def _check_mu_nonneg_lambda(inst: Instance):
     v = inst.place
     D = inst.mu_divisors[0]
     mu = mu_local(D, v)
     if mu.cmp(LocalLog.zero(v)) < 0:
-        return _result("MU_NONNEG_LAMBDA", inst.seed, [], vacuous=True)
+        return None
     F = D.form
     lam = lambda_local(D, v)
     top = gauss_norm_log(slice_form(F, D.degree), v)
     bottom = gauss_norm_log(slice_form(F, 0), v)
-    ok, m = _eq(lam, top - bottom)
-    return _result("MU_NONNEG_LAMBDA", inst.seed,
-                   [(ok, m, float(lam.to_mpf()), float((top - bottom).to_mpf()))])
+    return [_eq(lam, top - bottom)]
 
 
-def _check_matrix_xi_le(inst: Instance) -> CheckResult:
+def _check_matrix_xi_le(inst: Instance):
     v = inst.place
-    N = _n_of(inst)
+    N = inst.f.N
     xi = matrix_xi(inst.f.A, v)
     lam = matrix_lambda(inst.f.A, v)
     rhs = lam + log_plus_int(N, v)
-    ok, m = _le(xi, rhs)
-    nonneg1, mn1 = _le(LocalLog.zero(v), xi)
-    nonneg2, mn2 = _le(LocalLog.zero(v), lam)
-    return _result("MATRIX_XI_LE", inst.seed,
-                   [(ok, m, float(xi.to_mpf()), float(rhs.to_mpf())),
-                    (nonneg1, mn1, 0.0, float(xi.to_mpf())),
-                    (nonneg2, mn2, 0.0, float(lam.to_mpf()))])
+    return [_le(xi, rhs), _le(LocalLog.zero(v), xi), _le(LocalLog.zero(v), lam)]
 
 
-def _check_matrix_lambda_inv(inst: Instance) -> CheckResult:
+def _check_matrix_lambda_inv(inst: Instance):
     v = inst.place
-    N = _n_of(inst)
+    N = inst.f.N
     lam_inv = matrix_lambda(inst.f.A_inv, v)
     rhs = matrix_lambda(inst.f.A, v).scaled(max(N - 1, 0))
-    ok, m = _le(lam_inv, rhs)
-    return _result("MATRIX_LAMBDA_INV", inst.seed,
-                   [(ok, m, float(lam_inv.to_mpf()), float(rhs.to_mpf()))])
+    return [_le(lam_inv, rhs)]
 
 
-def _check_power_pull_lambda(inst: Instance) -> CheckResult:
+def _check_power_pull_lambda(inst: Instance):
     v = inst.place
     d = inst.f.d
     D = inst.divisors[0]
     pulled = Divisor(power_pullback(D.form, d))
-    ok, m = _eq(lambda_local(pulled, v), lambda_local(D, v))
-    return _result("POWER_PULL_LAMBDA", inst.seed,
-                   [(ok, m, float(lambda_local(pulled, v).to_mpf()),
-                     float(lambda_local(D, v).to_mpf()))])
+    return [_eq(lambda_local(pulled, v), lambda_local(D, v))]
 
 
-def _check_power_pull_mu(inst: Instance) -> CheckResult:
+def _check_power_pull_mu(inst: Instance):
     v = inst.place
     d = inst.f.d
     D = inst.mu_divisors[0]
     pulled = Divisor(power_pullback(D.form, d))
     lhs = mu_local(pulled, v)
     rhs = mu_local(D, v).scaled(Fraction(1, d))
-    ok, m = _eq(lhs, rhs)
-    return _result("POWER_PULL_MU", inst.seed,
-                   [(ok, m, float(lhs.to_mpf()), float(rhs.to_mpf()))])
+    return [_eq(lhs, rhs)]
 
 
-def _check_power_push_lambda(inst: Instance) -> CheckResult:
+def _check_power_push_lambda(inst: Instance):
     v = inst.place
     N, d = inst.f.N, inst.f.d
     D = inst.divisors[0]
     pushed = Divisor(power_pushforward(D.form, d))
     lhs = lambda_local(pushed, v) - lambda_local(D, v).scaled(d**N)
     bound = log_plus_int(2, v).scaled(4 * N * d**N * D.degree)
-    ok1, m1 = _le(lhs, bound)
-    ok2, m2 = _le(-lhs, bound)
-    return _result("POWER_PUSH_LAMBDA", inst.seed,
-                   [(ok1, m1, float(lhs.to_mpf()), float(bound.to_mpf())),
-                    (ok2, m2, float(-lhs.to_mpf()), float(bound.to_mpf()))])
+    return _abs_le(lhs, bound)
 
 
-def _check_power_push_mu(inst: Instance) -> CheckResult:
+def _check_power_push_mu(inst: Instance):
     v = inst.place
     N, d = inst.f.N, inst.f.d
     D = inst.mu_divisors[0]
@@ -501,9 +474,7 @@ def _check_power_push_mu(inst: Instance) -> CheckResult:
     rhs = (mu_local(D, v).scaled(d)
            - log_plus_int(2, v).scaled(2 * d * N)
            - log_plus_int(d**N * D.degree, v).scaled(d * (d**N - 1)))
-    ok, m = _le(rhs, lhs)
-    return _result("POWER_PUSH_MU", inst.seed,
-                   [(ok, m, float(rhs.to_mpf()), float(lhs.to_mpf()))])
+    return [_le(rhs, lhs)]
 
 
 def _linear_bounds(inst: Instance, v: Place):
@@ -515,39 +486,21 @@ def _linear_bounds(inst: Instance, v: Place):
     return consts, diff_norm, lam_L, lam_A
 
 
-def _check_linear_pull(inst: Instance) -> CheckResult:
+def _check_linear(inst: Instance, push: bool):
+    """LINEAR_PULL (D o L) and LINEAR_PUSH (D o L^-1): the two bounds swap
+    lambda(L) and lambda(A)."""
     v = inst.place
-    f = inst.f
     D = inst.divisors[0]
     consts, diff_norm, lam_L, lam_A = _linear_bounds(inst, v)
-    pulled = Divisor(compose_linear(D.form, f.L))
-    lhs = lambda_local(pulled, v) - lambda_local(D, v)
-    upper = (diff_norm + lam_A + consts.c2).scaled(D.degree) + consts.c1
-    lower = -((diff_norm + lam_L + consts.c2).scaled(D.degree) + consts.c1)
-    ok1, m1 = _le(lhs, upper)
-    ok2, m2 = _le(lower, lhs)
-    return _result("LINEAR_PULL", inst.seed,
-                   [(ok1, m1, float(lhs.to_mpf()), float(upper.to_mpf())),
-                    (ok2, m2, float(lower.to_mpf()), float(lhs.to_mpf()))])
+    lam_up, lam_low = (lam_L, lam_A) if push else (lam_A, lam_L)
+    moved = Divisor(compose_linear(D.form, inst.f.L_inv if push else inst.f.L))
+    lhs = lambda_local(moved, v) - lambda_local(D, v)
+    upper = (diff_norm + lam_up + consts.c2).scaled(D.degree) + consts.c1
+    lower = -((diff_norm + lam_low + consts.c2).scaled(D.degree) + consts.c1)
+    return [_le(lhs, upper), _le(lower, lhs)]
 
 
-def _check_linear_push(inst: Instance) -> CheckResult:
-    v = inst.place
-    f = inst.f
-    D = inst.divisors[0]
-    consts, diff_norm, lam_L, lam_A = _linear_bounds(inst, v)
-    pushed = Divisor(compose_linear(D.form, f.L_inv))
-    lhs = lambda_local(pushed, v) - lambda_local(D, v)
-    upper = (diff_norm + lam_L + consts.c2).scaled(D.degree) + consts.c1
-    lower = -((diff_norm + lam_A + consts.c2).scaled(D.degree) + consts.c1)
-    ok1, m1 = _le(lhs, upper)
-    ok2, m2 = _le(lower, lhs)
-    return _result("LINEAR_PUSH", inst.seed,
-                   [(ok1, m1, float(lhs.to_mpf()), float(upper.to_mpf())),
-                    (ok2, m2, float(lower.to_mpf()), float(lhs.to_mpf()))])
-
-
-def _check_tc_mu(inst: Instance) -> CheckResult:
+def _check_tc_mu(inst: Instance):
     v = inst.place
     f = inst.f
     D = inst.big_divisor
@@ -556,17 +509,15 @@ def _check_tc_mu(inst: Instance) -> CheckResult:
     norm_c = vector_norm_log(f.b, v).log_plus()
     gate = norm_c + consts.c3 + log_plus_int(D.degree, v).scaled(2)
     if mu.cmp(gate) <= 0:
-        return _result("TC_MU", inst.seed, [], vacuous=True)
+        return None
     pulled = pullback_translation(f.b, D)
     if pulled.contains_origin_point() or pulled.contains_hyperplane_at_infinity():
         # the lemma asserts this cannot happen under the gate
-        return _result("TC_MU", inst.seed, [(False, float("-inf"), 0.0, 0.0)],
-                       note="translated divisor hit H or the origin")
+        return ([(False, float("-inf"), 0.0, 0.0)],
+                "translated divisor hit H or the origin")
     lhs = mu_local(pulled, v)
     rhs = mu - log_plus_int(D.degree, v) - log_plus_int(2, v)
-    ok, m = _le(rhs, lhs)
-    return _result("TC_MU", inst.seed,
-                   [(ok, m, float(rhs.to_mpf()), float(lhs.to_mpf()))])
+    return [_le(rhs, lhs)]
 
 
 def _key_gate(inst: Instance, v: Place):
@@ -580,29 +531,27 @@ def _key_gate(inst: Instance, v: Place):
     return mu.cmp(gate) > 0, mu, consts
 
 
-def _check_key_mu(inst: Instance) -> CheckResult:
+def _check_key_mu(inst: Instance):
     v = inst.place
     f = inst.f
     D = inst.big_divisor
     met, mu, consts = _key_gate(inst, v)
     if not met:
-        return _result("KEY_MU", inst.seed, [], vacuous=True)
+        return None
     pushed = Divisor(compose_linear(D.form, f.L_inv))
     lhs = mu_local(pushed, v)
     rhs = (mu - log_plus_int(D.degree, v) - log_plus_int(2, v)
            - consts.c5 - matrix_norm_log(f.A_inv, v))
-    ok, m = _le(rhs, lhs)
-    return _result("KEY_MU", inst.seed,
-                   [(ok, m, float(rhs.to_mpf()), float(lhs.to_mpf()))])
+    return [_le(rhs, lhs)]
 
 
-def _check_key_lambda(inst: Instance) -> CheckResult:
+def _check_key_lambda(inst: Instance):
     v = inst.place
     f = inst.f
     D = inst.big_divisor
     met, mu, consts = _key_gate(inst, v)
     if not met:
-        return _result("KEY_LAMBDA", inst.seed, [], vacuous=True)
+        return None
     pushed = Divisor(compose_linear(D.form, f.L_inv))
     lam_push = lambda_local(pushed, v)
     lam = lambda_local(D, v)
@@ -610,78 +559,55 @@ def _check_key_lambda(inst: Instance) -> CheckResult:
         + log_plus_int(2, v).scaled(f.N)
     low = lam - (matrix_norm_log(f.A_inv, v) + log_plus_int(2 * f.N, v)).scaled(D.degree) \
         - log_plus_int(2, v).scaled(f.N)
-    ok1, m1 = _le(lam_push, up)
-    ok2, m2 = _le(low, lam_push)
-    return _result("KEY_LAMBDA", inst.seed,
-                   [(ok1, m1, float(lam_push.to_mpf()), float(up.to_mpf())),
-                    (ok2, m2, float(low.to_mpf()), float(lam_push.to_mpf()))])
+    return [_le(lam_push, up), _le(low, lam_push)]
 
 
-def _basin_gates(inst: Instance, v: Place):
-    f = inst.f
-    N, d = f.N, f.d
-    consts = _places.place_constants(N, d, v)
-    xi = matrix_xi(f.A, v)
-    norm_b = vector_norm_log(f.b, v).log_plus()
-    b_gate_rhs = (consts.c8.scaled(1).to_mpf() * (mp.sqrt(d) - 1)
-                + consts.c3.to_mpf() + consts.c5.to_mpf()
-                + matrix_norm_log(f.A_inv, v).to_mpf()
-                + d * xi.to_mpf()
-                + (2 * d * N + 1) * log_plus_int(2, v).to_mpf()
-                + (2 * N - 2 + d * N * (d**N - 1)) * log_plus_int(d, v).to_mpf())
-    b_gate = (d - 1) * norm_b.to_mpf() > b_gate_rhs
-    return b_gate, norm_b, xi, consts
-
-
-def _mu_gate_rhs(inst: Instance, v: Place, deg: int, norm_b, xi, consts):
-    N = inst.f.N
+def _mu_gate_rhs(N: int, deg: int, norm_b, xi, c8):
     if N == 1:
         c8_term = mp.mpf(0)
     else:
-        c8_term = consts.c8.to_mpf() * (mp.mpf(deg) ** (Fraction(1, 2 * (N - 1))) - 1)
+        c8_term = c8.to_mpf() * (mp.mpf(deg) ** (Fraction(1, 2 * (N - 1))) - 1)
     return norm_b.to_mpf() + c8_term - xi.to_mpf()
 
 
-def _check_basin(inst: Instance) -> CheckResult:
+def _check_basin(inst: Instance):
     v = inst.place
     f = inst.f
     N, d = f.N, f.d
     D = inst.big_divisor
-    b_gate, norm_b, xi, consts = _basin_gates(inst, v)
+    consts = _places.place_constants(N, d, v)
+    xi = matrix_xi(f.A, v)
+    norm_b = vector_norm_log(f.b, v).log_plus()
+    b_gate_rhs = (_places.basin_constant(N, d, consts.c3, consts.c5, consts.c8).to_mpf()
+                  + matrix_norm_log(f.A_inv, v).to_mpf()
+                  + d * xi.to_mpf())
+    b_gate = (d - 1) * norm_b.to_mpf() > b_gate_rhs
     if not b_gate:
-        return _result("BASIN", inst.seed, [], vacuous=True)
+        return None
     mu = mu_local(D, v)
-    mu_gate = mu.to_mpf() >= _mu_gate_rhs(inst, v, D.degree, norm_b, xi, consts)
+    mu_gate = mu.to_mpf() >= _mu_gate_rhs(N, D.degree, norm_b, xi, consts.c8)
     if not mu_gate:
-        return _result("BASIN", inst.seed, [], vacuous=True)
-    k = inst.profile.k_arch if v.is_arch else inst.profile.k_padic
-    est = inst.delta(D, k, v)
+        return None
+    est = inst.delta(D)
     rhs = (lambda_local(D, v).to_mpf()
            - mp.mpf(D.degree) * (matrix_norm_log(f.A_inv, v).to_mpf()
                                  + log_plus_int(2 * N, v).to_mpf()) / (d - 1)
            - mp.mpf(N) * log_plus_int(2, v).to_mpf() / (d**N - 1))
-    ok, m, lhs_f, rhs_f = _interval_ge(est.value.to_mpf(), est.error.to_mpf(), rhs)
-    checks = [(ok, m, lhs_f, rhs_f)]
     # proof-level content: the basin set is f_*-stable
     pushed = pushforward_map(f, D)
-    mu_push = mu_local(pushed, v)
-    stable = mu_push.to_mpf() >= _mu_gate_rhs(inst, v, pushed.degree, norm_b, xi, consts) \
-        - ARCH_SLACK
-    checks.append((bool(stable), float(mu_push.to_mpf()
-                                       - _mu_gate_rhs(inst, v, pushed.degree,
-                                                    norm_b, xi, consts)),
-                   float(mu_push.to_mpf()),
-                   float(_mu_gate_rhs(inst, v, pushed.degree, norm_b, xi, consts))))
-    return _result("BASIN", inst.seed, checks)
+    mu_push = mu_local(pushed, v).to_mpf()
+    push_rhs = _mu_gate_rhs(N, pushed.degree, norm_b, xi, consts.c8)
+    stable = mu_push >= push_rhs - ARCH_SLACK
+    return [_interval_ge(est, rhs),
+            (bool(stable), float(mu_push - push_rhs), float(mu_push), float(push_rhs))]
 
 
-def _check_delta_sandwich(inst: Instance) -> CheckResult:
+def _check_delta_sandwich(inst: Instance):
     v = inst.place
     f = inst.f
     N, d = f.N, f.d
     D = inst.divisors[0]
-    k = inst.profile.k_arch if v.is_arch else inst.profile.k_padic
-    est = inst.delta(D, k, v)
+    est = inst.delta(D)
     consts, diff_norm, lam_L, lam_A = _linear_bounds(inst, v)
     lam = lambda_local(D, v).to_mpf()
     base = diff_norm.to_mpf() + consts.c2.to_mpf() \
@@ -689,34 +615,25 @@ def _check_delta_sandwich(inst: Instance) -> CheckResult:
     tailc = Fraction(2 * N - 1, d**N - 1) * log_plus_int(2, v).to_mpf()
     upper = lam + mp.mpf(D.degree) / (d - 1) * (base + lam_L.to_mpf()) + tailc
     lower = lam - mp.mpf(D.degree) / (d - 1) * (base + lam_A.to_mpf()) - tailc
-    val, err = est.value.to_mpf(), est.error.to_mpf()
-    ok1, m1, l1, r1 = _interval_le(val, err, upper)
-    ok2, m2, l2, r2 = _interval_ge(val, err, lower)
-    return _result("DELTA_SANDWICH", inst.seed,
-                   [(ok1, m1, l1, r1), (ok2, m2, l2, r2)])
+    return [_interval_le(est, upper), _interval_ge(est, lower)]
 
 
-def _check_crit_lower(inst: Instance) -> CheckResult:
+def _check_crit_lower(inst: Instance):
     v = inst.place
     f = inst.f
     N, d = f.N, f.d
     consts = _places.place_constants(N, d, v)
-    k = inst.profile.k_arch if v.is_arch else inst.profile.k_padic
-    est = inst.delta(critical_divisor(f), k, v)
     rhs = (Fraction(d - 1, d) * vector_norm_log(f.b, v).log_plus().to_mpf()
            - matrix_lambda(f.A_inv, v).to_mpf() / (N * d)
            - matrix_xi(f.A, v).to_mpf()
            - Fraction(d - 1, d) * consts.c9.to_mpf())
-    ok, m, lhs_f, rhs_f = _interval_ge(est.value.to_mpf(), est.error.to_mpf(), rhs)
-    return _result("CRIT_LOWER", inst.seed, [(ok, m, lhs_f, rhs_f)])
+    return [_interval_ge(inst.delta(critical_divisor(f)), rhs)]
 
 
-def _check_crit_upper(inst: Instance) -> CheckResult:
+def _check_crit_upper(inst: Instance):
     v = inst.place
     f = inst.f
     N, d = f.N, f.d
-    k = inst.profile.k_arch if v.is_arch else inst.profile.k_padic
-    est = inst.delta(critical_divisor(f), k, v)
     rhs = (N * (N + 2) * vector_norm_log(f.b, v).log_plus().to_mpf()
            + (N + 1) * matrix_lambda(f.A, v).to_mpf()
            + N * log_plus_int(factorial(N + 1), v).to_mpf()
@@ -724,11 +641,10 @@ def _check_crit_upper(inst: Instance) -> CheckResult:
            + N * log_plus_int(4 * N * (N + 1), v).to_mpf()
            + (4 * N * N * d + Fraction(2 * N - 1, d**N - 1))
            * log_plus_int(2, v).to_mpf())
-    ok, m, lhs_f, rhs_f = _interval_le(est.value.to_mpf(), est.error.to_mpf(), rhs)
-    return _result("CRIT_UPPER", inst.seed, [(ok, m, lhs_f, rhs_f)])
+    return [_interval_le(inst.delta(critical_divisor(f)), rhs)]
 
 
-def _check_thm_main(inst: Instance) -> CheckResult:
+def _check_thm_main(inst: Instance):
     f = inst.f
     k = inst.profile.k_arch
     # huge-height targeted maps: exact p-adic coefficient sizes scale with
@@ -741,31 +657,27 @@ def _check_thm_main(inst: Instance) -> CheckResult:
     lo = float(rep["value"] - rep["error"] - rep["lower_bound"])
     hi = float(rep["upper_bound"] - (rep["value"] + rep["error"]))
     margin = min(lo, hi)
-    return _result("THM_MAIN", inst.seed,
-                   [(ok, margin, float(rep["value"]), float(rep["upper_bound"]))],
-                   note=rep["verdict"])
+    return [(ok, margin, float(rep["value"]), float(rep["upper_bound"]))], rep["verdict"]
 
 
-def _check_product_formula(inst: Instance) -> CheckResult:
+def _check_product_formula(inst: Instance):
     alpha = inst.alpha
     total = log_abs(alpha, INF).to_mpf()
     for p in sorted(support_primes([alpha])):
         total += log_abs(alpha, Place(p)).to_mpf()
     ok = abs(total) <= ARCH_SLACK
-    return _result("PRODUCT_FORMULA", inst.seed,
-                   [(ok, float(ARCH_SLACK - abs(total)), float(total), 0.0)])
+    return [(ok, float(ARCH_SLACK - abs(total)), float(total), 0.0)]
 
 
-def _check_mu_le_lambda(inst: Instance) -> CheckResult:
+def _check_mu_le_lambda(inst: Instance):
     v = inst.place
     D = inst.mu_divisors[0]
     lhs = mu_local(D, v)
     rhs = lambda_local(D, v).scaled(Fraction(1, D.degree))
-    ok, m = _le(lhs, rhs)
-    return _result("MU_LE_LAMBDA_OVER_DEG", inst.seed,
-                   [(ok, m, float(lhs.to_mpf()), float(rhs.to_mpf()))])
+    return [_le(lhs, rhs)]
 
 
+# the one list of lemmas, in report order
 _CHECKS = {
     "NORM_PROD": _check_norm_prod,
     "NORM_SUMPROD": _check_norm_sumprod,
@@ -778,8 +690,8 @@ _CHECKS = {
     "POWER_PULL_MU": _check_power_pull_mu,
     "POWER_PUSH_LAMBDA": _check_power_push_lambda,
     "POWER_PUSH_MU": _check_power_push_mu,
-    "LINEAR_PULL": _check_linear_pull,
-    "LINEAR_PUSH": _check_linear_push,
+    "LINEAR_PULL": partial(_check_linear, push=False),
+    "LINEAR_PUSH": partial(_check_linear, push=True),
     "TC_MU": _check_tc_mu,
     "KEY_MU": _check_key_mu,
     "KEY_LAMBDA": _check_key_lambda,
@@ -791,6 +703,7 @@ _CHECKS = {
     "PRODUCT_FORMULA": _check_product_formula,
     "MU_LE_LAMBDA_OVER_DEG": _check_mu_le_lambda,
 }
+LEMMA_IDS = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +828,7 @@ def run_suite(trials: int, seed: int = 42, profiles: list | None = None,
     if profiles is None:
         profiles = default_profiles()
     for lemma in lemmas:
-        if lemma not in LEMMA_IDS:
-            raise UsageError(f"unknown lemma id {lemma!r}")
+        _registered(lemma)
     stats = {name: LemmaStats() for name in lemmas}
     if not profiles:
         return SuiteReport(trials=trials, seed=seed, stats=stats,

@@ -381,6 +381,20 @@ class PlaceConstants:
     c9: LocalLog
 
 
+def basin_constant(N: int, d: int, c3: LocalLog, c5: LocalLog,
+                   c8: LocalLog) -> LocalLog:
+    """c8 (sqrt d - 1) + c3 + c5 + (2dN+1) log^+2 + (2N-2+dN(d^N-1)) log^+d
+    at the place of c3, c5, c8: the basin-stability gate asks (d-1) log^+||b||
+    to exceed it plus log||A^-1|| + d xi(A), and c9's third branch is it
+    over d-1."""
+    if c3.place.is_arch:
+        return LocalLog.arch(c8.to_mpf() * (mp.sqrt(d) - 1) + c3.to_mpf()
+                             + c5.to_mpf() + (2 * d * N + 1) * mp.log(2)
+                             + (2 * N - 2 + d * N * (d**N - 1)) * mp.log(d))
+    # c8 = 0 and all log^+ of integers vanish; only c3 + c5 survive
+    return c3 + c5
+
+
 def place_constants(N: int, d: int, v: Place) -> PlaceConstants:
     if N < 1 or d < 2:
         raise UsageError("need N >= 1 and d >= 2")
@@ -393,11 +407,8 @@ def place_constants(N: int, d: int, v: Place) -> PlaceConstants:
         c4 = zero
         c5 = (log_plus_int(N, v) + lp2.scaled(N)
               + log_plus_int(factorial(N), v).scaled(Fraction(1, N)))
-        if N == 1:
-            c8 = zero
-        else:
-            sd = mp.sqrt(d)
-            c8 = LocalLog.arch(2 * (N - 1) * (mp.mpf(d) ** (N + 1) - d + 1) / (d - sd))
+        c8 = LocalLog.arch(2 * (N - 1) * (mp.mpf(d) ** (N + 1) - d + 1)
+                           / (d - mp.sqrt(d)))
     else:
         p = v.p
         if p <= c3_prime_bound(N, d):
@@ -411,15 +422,7 @@ def place_constants(N: int, d: int, v: Place) -> PlaceConstants:
     branch2 = (log_plus_int(2 * N, v).scaled(Fraction(1, d - 1))
                + lp2.scaled(Fraction(N, d**N - 1))
                - log_plus_int(factorial(N), v).scaled(Fraction(1, N * (d - 1))))
-    if v.is_arch:
-        sd = mp.sqrt(d)
-        branch3 = LocalLog.arch(
-            (c8.to_mpf() * (sd - 1) + c3.to_mpf() + c5.to_mpf()
-             + (2 * d * N + 1) * mp.log(2)
-             + (2 * N - 2 + d * N * (d**N - 1)) * mp.log(d)) / (d - 1))
-    else:
-        # c8 = 0 and all log^+ of integers vanish; only c3 survives
-        branch3 = (c3 + c5).scaled(Fraction(1, d - 1))
+    branch3 = basin_constant(N, d, c3, c5, c8).scaled(Fraction(1, d - 1))
     c9 = local_max([zero, branch2, branch3])
     return PlaceConstants(N=N, d=d, place=v, c1=c1, c2=c2, c3=c3, c4=c4,
                           c5=c5, c8=c8, c9=c9)

@@ -2,11 +2,14 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import relesc
 from relesc.cli import main
 
 
@@ -195,6 +198,47 @@ class TestVerifyLemmas:
                                  "--seed", "3", "--profile", str(prof)])
         assert code == 0
         assert "suite: PASS" in out
+
+
+class TestProfileValidation:
+    @pytest.mark.parametrize("body", [
+        {"name": "x", "N": 1, "d": 2},                        # not a list
+        [3],                                                  # not an object
+        [{"name": "x", "N": 1, "d": 2, "foo": 3}],            # unknown key
+        [{"name": "x", "N": 1}],                              # missing key
+        [{"name": "x", "N": "1", "d": 2}],
+        [{"name": "x", "N": True, "d": 2}],
+        [{"name": "x", "N": 1, "d": 1}],
+        [{"name": "x", "N": 1, "d": 2, "deg_bound": 0}],
+        [{"name": "x", "N": 1, "d": 2, "k_arch": -1}],
+        [{"name": "x", "N": 1, "d": 2, "k_padic": 1.5}],
+        [{"name": "x", "N": 1, "d": 2, "place_set": "23"}],   # not ("2", "3")
+        [{"name": "x", "N": 1, "d": 2, "place_set": []}],
+        [{"name": "x", "N": 1, "d": 2, "place_set": ["inf", "4"]}],
+    ])
+    def test_malformed_profile_exits_usage(self, capsys, tmp_path, body):
+        prof = tmp_path / "profiles.json"
+        prof.write_text(json.dumps(body))
+        code = main(["verify-lemmas", "--trials", "1", "--profile", str(prof)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:"), err
+
+    def test_zero_coeff_bound_refused(self, tmp_path):
+        # sampling a nonzero coefficient from [-0, 0] would never end, so
+        # this runs in a child with a deadline
+        prof = tmp_path / "profiles.json"
+        prof.write_text(json.dumps(
+            [{"name": "x", "N": 1, "d": 2, "coeff_bound": 0}]))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(relesc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "relesc.cli", "verify-lemmas", "--trials",
+             "1", "--profile", str(prof)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error:") and "coeff_bound" in out.stderr
 
 
 class TestMandelSlice:

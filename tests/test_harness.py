@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from relesc.harness import (LEMMA_IDS, audit_constants, check,
-                            default_profiles, random_instance, run_suite)
-from relesc.places import INF, Place
+from relesc.harness import (_CHECKS, LEMMA_IDS, _abs_le, _eq, _le,
+                            audit_constants, check, default_profiles,
+                            random_instance, run_suite)
+from relesc.places import ARCH_SLACK, INF, LocalLog, Place
 from relesc.rational import UsageError
 
 
@@ -61,6 +64,70 @@ class TestChecks:
                         hits[lemma] += 1
         for lemma, count in hits.items():
             assert count >= n // 2, (lemma, count, n)
+
+
+class TestAtoms:
+    """The comparison atoms (holds, margin, lhs, rhs) every check returns."""
+
+    def test_infinite_kinds(self):
+        inf = float("inf")
+        for x in (LocalLog.arch(mp.mpf(2)), LocalLog.padic(Place(3), Fraction(1, 2))):
+            v = x.place
+            neg, pos = LocalLog.neg_inf(v), LocalLog.pos_inf(v)
+            fx = float(x.to_mpf())
+            assert _le(neg, x) == (True, inf, -inf, fx)
+            assert _le(x, pos) == (True, inf, fx, inf)
+            assert _le(pos, x) == (False, -inf, inf, fx)
+            assert _le(x, neg) == (False, -inf, fx, -inf)
+
+    def test_padic_exact_arch_within_slack(self):
+        r, eps = Fraction(1, 3), Fraction(1, 10**40)
+        v = Place(3)
+        holds, margin, _, _ = _le(LocalLog.padic(v, r + eps), LocalLog.padic(v, r))
+        assert not holds and margin < 0
+        assert not _eq(LocalLog.padic(v, r + eps), LocalLog.padic(v, r))[0]
+        third = mp.mpf(1) / 3
+        holds, margin, _, _ = _le(LocalLog.arch(third + mp.mpf(10) ** -40),
+                                  LocalLog.arch(third))
+        assert holds and -ARCH_SLACK < margin < 0
+        holds, margin, _, _ = _eq(LocalLog.arch(third + mp.mpf(10) ** -40),
+                                  LocalLog.arch(third))
+        assert holds and 0 < margin <= ARCH_SLACK
+
+    def test_two_sided(self):
+        bound = LocalLog.arch(mp.mpf(3))
+        assert _abs_le(LocalLog.arch(mp.mpf(2)), bound) == [
+            (True, 1.0, 2.0, 3.0), (True, 5.0, -2.0, 3.0)]
+        x = LocalLog.padic(Place(2), Fraction(-5))
+        b = LocalLog.padic(Place(2), Fraction(4))
+        assert _abs_le(x, b) == [_le(x, b), _le(-x, b)]
+        assert [a[0] for a in _abs_le(x, b)] == [True, False]
+
+    def test_registry_is_the_lemma_list(self):
+        assert LEMMA_IDS == tuple(_CHECKS) == (
+            "NORM_PROD", "NORM_SUMPROD",
+            "SUM_LAMBDA", "SUM_MU", "MU_NONNEG_LAMBDA",
+            "MATRIX_XI_LE", "MATRIX_LAMBDA_INV",
+            "POWER_PULL_LAMBDA", "POWER_PULL_MU", "POWER_PUSH_LAMBDA",
+            "POWER_PUSH_MU",
+            "LINEAR_PULL", "LINEAR_PUSH",
+            "TC_MU",
+            "KEY_MU", "KEY_LAMBDA",
+            "BASIN",
+            "DELTA_SANDWICH",
+            "CRIT_LOWER", "CRIT_UPPER",
+            "THM_MAIN",
+            "PRODUCT_FORMULA",
+            "MU_LE_LAMBDA_OVER_DEG",
+        )
+
+    def test_unknown_id_refused_alike(self):
+        inst = random_instance(7, default_profiles()[0])
+        with pytest.raises(UsageError) as by_check:
+            check("NOT_A_LEMMA", inst)
+        with pytest.raises(UsageError) as by_suite:
+            run_suite(1, lemmas=("PRODUCT_FORMULA", "NOT_A_LEMMA"))
+        assert str(by_check.value) == str(by_suite.value)
 
 
 class TestSuite:
