@@ -183,13 +183,14 @@ def _escape_values(d: int, cs: np.ndarray, max_iter: int) -> np.ndarray:
 
 
 def _n2_cell_value(f_template: dict, b1: float, b2: float, d: int,
-                   iters: int) -> float:
+                   iters: int) -> tuple[float, str]:
+    """(value, mode) of one cell: exact while affordable, else scaled."""
     A = [[Fraction(x) for x in row] for row in f_template]
     b = [Fraction(b1).limit_denominator(10**6),
          Fraction(b2).limit_denominator(10**6)]
     f = MinCritMap(2, d, A, b)
-    est = delta_estimate(f, critical_divisor(f), iters, INF, mode="scaled")
-    return est.value_float()
+    est = delta_estimate(f, critical_divisor(f), iters, INF)
+    return est.value_float(), est.mode
 
 
 def _render_pgm(vals: np.ndarray, threshold: float) -> bytes:
@@ -248,20 +249,22 @@ def cmd_mandel_slice(args) -> int:
                 flat = list(pool.map(_n2_cell_value, *cells))
         else:
             flat = list(map(_n2_cell_value, *cells))
-        vals = np.array(flat).reshape(len(axis), len(axis))
+        vals = np.array([v for v, _ in flat]).reshape(len(axis), len(axis))
+        modes = {m: sum(cm == m for _, cm in flat) for m in ("exact", "scaled")}
     else:
         d = args.d
         re0, re1, imx, steps = _parse_grid(args.grid)
         res = np.linspace(re0, re1, steps) if steps > 1 else np.array([re0])
         ims = np.linspace(-imx, imx, steps) if steps > 1 else np.array([imx])
         vals = _escape_values(d, res[None, :] + 1j * ims[:, None], args.max_iter)
+        modes = {"exact": 0, "scaled": int(vals.size)}
     csv_path = args.out + ".csv"
     pgm_path = args.out + ".pgm"
     with open(csv_path, "w") as fh:
         fh.write("# " + json.dumps({
             "command": "mandel-slice", "d": d, "grid": args.grid,
             "max_iter": args.max_iter, "threshold": threshold,
-            "map": args.map or None}, sort_keys=True) + "\n")
+            "map": args.map or None, "modes": modes}, sort_keys=True) + "\n")
         for row in vals:
             fh.write(",".join("%.12g" % x for x in row) + "\n")
     with open(pgm_path, "wb") as fh:
@@ -360,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", required=True)
     p.add_argument("--place", default="inf")
     p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--mode", choices=["exact", "scaled"], default=None)
+    p.add_argument("--mode", choices=["exact", "scaled"], default=None,
+                   help="default: exact at a prime; at inf exact while each "
+                        "next iterate is predicted to fit the exact step "
+                        "budget, else scaled (the output echoes the mode)")
     p.add_argument("--digits", type=int, default=17)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_escape_rate)

@@ -29,6 +29,13 @@ from .scaled import SlicedForm, step_bytes
 DEFAULT_BIT_BUDGET = 1 << 20
 # scaled mode refuses a step predicted to need more memory than this
 SCALED_STEP_BYTES = 1 << 30
+# delta_estimate(mode=None) at infinity steps exactly while the next iterate
+# is predicted (_next_step_size) to hold at most this many coefficient bits,
+# terms x bits.  Calibration (2 cores, Python 3.11, no gmpy2): the exact
+# steps to N=2, d=2, k=4 and d=3, k=2 make 0.06-0.5 Mbit in 0.01-0.03 s a
+# step; the next ones, d=2 step 5 (1.8-7.1 Mbit) and d=3 step 3 (4.5-5.0
+# Mbit), take 0.3-1.3 s and 3.4 s, where the scaled steps take hundredths.
+EXACT_STEP_BITS = 1 << 20
 
 
 def canonical_form(F: HomogeneousForm) -> HomogeneousForm:
@@ -38,12 +45,13 @@ def canonical_form(F: HomogeneousForm) -> HomogeneousForm:
     den = lcm_denominators(F.coefficients())
     ints = {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
     g = content(ints.values())
-    ints = {e: c // g for e, c in ints.items()}
     leading = max(ints)  # lexicographically leading exponent tuple
     if ints[leading] < 0:
-        ints = {e: -c for e, c in ints.items()}
+        g = -g
+    elif den == 1 and g == 1:
+        return F
     return HomogeneousForm(F.num_vars, F.degree,
-                           {e: Fraction(c) for e, c in ints.items()})
+                           {e: Fraction(c // g) for e, c in ints.items()})
 
 
 class Divisor:
@@ -220,24 +228,41 @@ def mu_local(D: Divisor, v: Place) -> LocalLog:
 # push-forward / pull-back
 # ---------------------------------------------------------------------------
 
+def _push_raw(f: MinCritMap, terms: dict) -> dict:
+    """One exact step on raw terms: the primitive integer terms, leading
+    coefficient positive as in canonical_form, of f_* of the divisor whose
+    form has the integer terms given."""
+    n = f.N + 1
+    terms, _ = _subst_raw(pushforward_terms(terms, f.d, n), f.L_inv, n)
+    g = content(terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return {e: c // g for e, c in terms.items()}
+
+
+def _raw_terms(D: Divisor) -> dict:
+    """The integer terms of D's canonical form."""
+    return {e: c.numerator for e, c in D.form.terms.items()}
+
+
+def _raw_divisor(terms: dict) -> Divisor:
+    """The divisor of the form with the integer terms given."""
+    exps = next(iter(terms))
+    return Divisor(HomogeneousForm(len(exps), sum(exps),
+                                   {e: Fraction(c) for e, c in terms.items()}))
+
+
 def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUDGET) -> Divisor:
     """f_* D = L_* phi_* D with L_* = (L^{-1})^*, exactly.
 
     Equivalent to compose_linear(power_pushforward(F, d), L_inv) but run on
-    raw integer coefficients (the canonical form is integral, and L_inv is
-    cleared to an integer matrix; the scalar drops out in canonicalization).
+    raw integer coefficients (the canonical form is integral, and the
+    scalar of the substitution drops out in canonicalization).
     """
     _check_dim(f, D)
-    n = f.N + 1
-    terms = {e: c.numerator for e, c in D.form.terms.items()}
-    terms = pushforward_terms(terms, f.d, n)
-    den = lcm_denominators(x for row in f.L_inv for x in row)
-    terms = _subst_raw(terms, [[int(x * den) for x in row] for row in f.L_inv], n)
-    G = HomogeneousForm(n, D.degree * f.d ** (f.N - 1),
-                        {e: Fraction(c) for e, c in terms.items()})
-    out = Divisor(G)
-    _check_budget(out.form, bit_budget)
-    return out
+    terms = _push_raw(f, _raw_terms(D))
+    _check_budget(terms, bit_budget)
+    return _raw_divisor(terms)
 
 
 def pullback_map(f: MinCritMap, D: Divisor) -> Divisor:
@@ -270,11 +295,11 @@ def _check_dim(f: MinCritMap, D: Divisor) -> None:
         raise UsageError(f"divisor lives on P^{D.N}, map on P^{f.N}")
 
 
-def _check_budget(F: HomogeneousForm, bit_budget: int) -> None:
-    for c in F.terms.values():
-        if c.numerator.bit_length() > bit_budget or c.denominator.bit_length() > bit_budget:
-            raise BitBudgetError(
-                f"coefficient exceeds {bit_budget} bits; use scaled mode or lower k")
+def _check_budget(terms: dict, bit_budget: int) -> None:
+    """Raise BitBudgetError if an integer coefficient exceeds bit_budget bits."""
+    if max(abs(c).bit_length() for c in terms.values()) > bit_budget:
+        raise BitBudgetError(
+            f"coefficient exceeds {bit_budget} bits; use scaled mode or lower k")
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +378,15 @@ def truncated_estimate(f: MinCritMap, deg: int, lam: LocalLog, k: int,
                     iterations_used=k, place=v, mode=mode)
 
 
+def _next_step_size(f: MinCritMap, terms: dict) -> tuple[int, int]:
+    """(terms x bits, bits) predicted for the exact iterate one step after
+    the integer terms given: a step multiplies the degree by d^(N-1), so the
+    number of terms by about d^(N(N-1)), and the coefficient bits by d^N."""
+    N, d = f.N, f.d
+    bits = max(abs(c).bit_length() for c in terms.values()) * d ** N
+    return len(terms) * d ** (N * (N - 1)) * bits, bits
+
+
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
                    mode: str | None = None,
                    bit_budget: int = DEFAULT_BIT_BUDGET) -> Estimate:
@@ -362,41 +396,45 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     mode 'exact' iterates primitive integer forms (any place; aborts past
     the coefficient bit budget); 'scaled' (archimedean only) iterates
     renormalized floats, refusing up front (BitBudgetError) when a step is
-    predicted to need more than SCALED_STEP_BYTES.  Default: scaled at the
-    archimedean place, exact p-adically.
+    predicted to need more than SCALED_STEP_BYTES.  Default: exact at a
+    finite place; at the archimedean place exact while each next iterate is
+    predicted to fit EXACT_STEP_BITS and the bit budget, else scaled from
+    D.  The Estimate's mode says which one ran.
     """
     _check_dim(f, D)
     if k < 0:
         raise UsageError("k must be >= 0")
     if D.contains_hyperplane_at_infinity():
         raise DomainError("Delta is undefined for divisors containing H")
-    if mode is None:
-        mode = "scaled" if v.is_arch else "exact"
+    if mode not in (None, "scaled", "exact"):
+        raise UsageError(f"unknown mode {mode!r}")
     if mode == "scaled" and not v.is_arch:
         raise UsageError("scaled mode is only valid at the archimedean place")
-    if mode not in ("scaled", "exact"):
-        raise UsageError(f"unknown mode {mode!r}")
     d, N = f.d, f.N
-    if mode == "scaled" and N >= 3:
+    if mode != "scaled":
+        terms = _raw_terms(D)
+        for _ in range(k):
+            if mode is None and v.is_arch:
+                size, bits = _next_step_size(f, terms)
+                if size > EXACT_STEP_BITS or bits > bit_budget:
+                    break
+            terms = _push_raw(f, terms)
+            _check_budget(terms, bit_budget)
+        else:
+            return truncated_estimate(f, D.degree, lambda_local(_raw_divisor(terms), v), k)
+    if N >= 3:
         # a cost refusal: SlicedForm takes any N, but this is ~1e10 floats
         # for the critical divisor at N=3, d=2, k=5
         raise UsageError("scaled mode is refused for N >= 3: the k-th iterate "
                          "holds about (deg * d^(k(N-1)))^N floats")
-    if mode == "exact":
-        G = D
-        for _ in range(k):
-            G = pushforward_map(f, G, bit_budget=bit_budget)
-        lam = lambda_local(G, v)
-    else:
-        j = scaled_depth(N, d, D.degree, k)
-        if j < k:  # refuse before allocating anything
-            raise BitBudgetError(f"scaled step {j + 1} is predicted to need over "
-                                 f"{SCALED_STEP_BYTES >> 20} MiB; lower k to {j}")
-        S = SlicedForm.from_form(D.form)
-        for _ in range(k):
-            S = S.power_push(d).compose_lshape(f.L_inv)
-        lam = LocalLog.arch(mp.mpf(S.lam()))
-    return truncated_estimate(f, D.degree, lam, k, mode)
+    j = scaled_depth(N, d, D.degree, k)
+    if j < k:  # refuse before allocating anything
+        raise BitBudgetError(f"scaled step {j + 1} is predicted to need over "
+                             f"{SCALED_STEP_BYTES >> 20} MiB; lower k to {j}")
+    S = SlicedForm.from_form(D.form)
+    for _ in range(k):
+        S = S.power_push(d).compose_lshape(f.L_inv)
+    return truncated_estimate(f, D.degree, LocalLog.arch(mp.mpf(S.lam())), k, "scaled")
 
 
 def delta_relative_critical(f: MinCritMap, k: int, v: Place,

@@ -43,18 +43,22 @@ class HomogeneousForm:
             raise UsageError("degree must be >= 0")
         clean: dict[ExpTuple, Fraction] = {}
         for exps, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if not c:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != num_vars or any(e < 0 for e in exps):
+            exps = tuple(map(int, exps))
+            if len(exps) != num_vars or min(exps) < 0:
                 raise UsageError(f"bad exponent tuple {exps} for {num_vars} variables")
             if sum(exps) != degree:
                 raise UsageError(f"exponents {exps} do not sum to degree {degree}")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
+            if exps in clean:
+                clean[exps] += c
+            else:
+                clean[exps] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -230,31 +234,108 @@ def _acc_add(acc: dict, extra: dict, scale=1) -> dict:
     return acc
 
 
-def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> dict:
-    """Substitute sum_j M[i][j] X_j for X_i in a sparse polynomial in n
-    variables, by nested Horner; exact for any coefficient type."""
+def _elementary(M: Sequence[Sequence], n: int) -> list[tuple]:
+    """M = E_1 E_2 ... E_m by Gauss-Jordan elimination over Q, so that F(M X)
+    is F with E_1, ..., E_m substituted in that order.  Each row operation
+    that reduces M to the identity is recorded as its inverse E, a tuple
+    (kind, i, j, t): ('swap', i, j, None) exchanges X_i and X_j,
+    ('scale', i, i, c) is X_i -> c X_i and ('shear', i, j, t) is
+    X_i -> X_i + t X_j."""
+    M = [[Fraction(x) for x in row] for row in M]
+    ops: list[tuple] = []
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            raise UsageError("substitution by a singular matrix")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            ops.append(("swap", col, piv, None))
+        c = M[col][col]
+        if c != 1:
+            M[col] = [x / c for x in M[col]]
+            ops.append(("scale", col, col, c))
+        for r in range(n):
+            t = M[r][col]
+            if r != col and t:
+                M[r] = [x - t * y for x, y in zip(M[r], M[col])]
+                ops.append(("shear", r, col, t))
+    return ops
+
+
+def _taylor_shift(c: list, p: int) -> None:
+    """sum_a c[a] y^a -> sum_a c[a] (y + p)^a, in place, by the O(s^2)
+    additions of the classical Horner scheme (von zur Gathen and Gerhard,
+    "Fast algorithms for Taylor shifts", ISSAC 1997)."""
+    top = len(c) - 1
+    while top > 0 and not c[top]:
+        top -= 1
+    for i in range(top):
+        for a in range(top - 1, i - 1, -1):
+            c[a] += p * c[a + 1]
+
+
+def _shear(cur: dict, ui: int, uj: int, base: int, p: int) -> dict:
+    """X_i -> X_i + p X_j on packed monomials (ui = base^i, uj = base^j): a
+    Taylor shift by p of each list of the coefficients that share every
+    exponent but those of X_i and X_j, indexed by the exponent of X_i."""
+    lists: dict[int, list] = {}
+    for key, c in cur.items():
+        ei, ej = key // ui % base, key // uj % base
+        rest = key - ei * ui - ej * uj
+        row = lists.get(rest)
+        if row is None:
+            row = lists[rest] = [0] * (ei + ej + 1)
+        row[ei] = c
+    out = {}
+    for rest, row in lists.items():
+        _taylor_shift(row, p)
+        top = len(row) - 1
+        for e, c in enumerate(row):
+            if c:
+                out[rest + e * ui + (top - e) * uj] = c
+    return out
+
+
+def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> tuple[dict, int]:
+    """(s * F(M X), s) for F the sparse form in n variables given by terms,
+    M invertible over Q and s a positive integer, so F(M X) is the first
+    item over s.  Exact for any coefficient type, and integer coefficients
+    stay integers.
+
+    M is split into swaps, scalings and shears (_elementary).  A scaling
+    X_i -> (a/b) X_i multiplies the coefficient of X_i^e by a^e b^(deg-e)
+    and s by b^deg; a shear X_i -> X_i + (p/q) X_j is a scaling of X_j by q,
+    an integer Taylor shift by p (_shear) and a scaling of X_j by 1/q."""
     if not terms:
-        return {}
-    base = max(sum(exps) for exps in terms) + 1
-    rows = [{base ** j: c for j, c in enumerate(row) if c} for row in M]
+        return {}, 1
+    deg = sum(next(iter(terms)))
+    base = deg + 1
+    unit = [base ** i for i in range(n)]
+    cur = _pack(terms, base)
+    s = 1
 
-    def subst(sub: dict, var: int) -> dict:
-        if var == n:
-            return sub
-        shift = base ** var
-        by_e: dict[int, dict] = {}
-        for key, c in sub.items():
-            e = key // shift % base
-            by_e.setdefault(e, {})[key - e * shift] = c
-        acc: dict = {}
-        for e in range(max(by_e), -1, -1):
-            if acc:
-                acc = _packed_mul(acc, rows[var])
-            if e in by_e:
-                _acc_add(acc, subst(by_e[e], var + 1))
-        return acc
+    def scale(i: int, c: Fraction) -> None:
+        nonlocal cur, s
+        a, b = c.numerator, c.denominator
+        pw = [a ** e * b ** (deg - e) for e in range(base)]
+        cur = {key: v * pw[key // unit[i] % base] for key, v in cur.items()}
+        s *= b ** deg
 
-    return _unpack(subst(_pack(terms, base), 0), base, n)
+    for kind, i, j, t in _elementary(M, n):
+        if kind == "swap":
+            ui, uj = unit[i], unit[j]
+            cur = {key + (key // uj % base - key // ui % base) * (ui - uj): c
+                   for key, c in cur.items()}
+        elif kind == "scale":
+            scale(i, t)
+        else:
+            q = t.denominator
+            if q != 1:
+                scale(j, Fraction(q))
+            cur = _shear(cur, unit[i], unit[j], base, t.numerator)
+            if q != 1:
+                scale(j, Fraction(1, q))
+    return _unpack(cur, base, n), s
 
 
 def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
@@ -277,9 +358,9 @@ def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
 def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> HomogeneousForm:
     """F(M X), exactly.  M must be an invertible (num_vars x num_vars) matrix.
 
-    Evaluated by a nested Horner scheme over the variables, so the cost
-    stays near (number of partial coefficients) x (terms of the linear
-    forms) instead of a full multinomial expansion per monomial.
+    Evaluated by swaps, scalings and Taylor shifts (_subst_raw), so the
+    cost stays near (number of terms) x (degree) per shear instead of a
+    full multinomial expansion per monomial.
     """
     n = F.num_vars
     if len(M) != n or any(len(row) != n for row in M):
@@ -289,7 +370,8 @@ def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> Homog
         raise UsageError("compose_linear: singular matrix")
     if F.is_zero():
         return F
-    return HomogeneousForm(n, F.degree, _subst_raw(F.terms, M, n))
+    terms, s = _subst_raw(F.terms, M, n)
+    return HomogeneousForm(n, F.degree, {e: c / s for e, c in terms.items()})
 
 
 def power_pullback(F: HomogeneousForm, d: int) -> HomogeneousForm:

@@ -100,7 +100,11 @@ class Instance:
         key = D.form.key()
         if key not in self._delta_memo:
             k = self.profile.k_arch if self.place.is_arch else self.profile.k_padic
-            self._delta_memo[key] = delta_estimate(self.f, D, k, self.place)
+            # scaled at infinity, as before delta_estimate's default turned
+            # exact where affordable: the suite's values stay those of the
+            # scaled backend
+            mode = "scaled" if self.place.is_arch else "exact"
+            self._delta_memo[key] = delta_estimate(self.f, D, k, self.place, mode=mode)
         return self._delta_memo[key]
 
     def to_json_dict(self) -> dict:

@@ -17,9 +17,9 @@ from math import factorial
 import mpmath as mp
 
 from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, MinCritMap,
+                       _check_budget, _push_raw, _raw_divisor, _raw_terms,
                        critical_divisor, delta_estimate, lambda_local,
-                       pushforward_map, scaled_depth, slice_form,
-                       truncated_estimate)
+                       scaled_depth, slice_form, truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
@@ -211,14 +211,16 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     exact_primes = any(not v.is_arch and v.p in bad for v in places)
     target = k if exact_inf else min(k, k_padic) if exact_primes else 0
     warnings: list[str] = []
-    G, depth = D, 0
+    terms, depth = _raw_terms(D), 0
     while depth < target:
+        nxt = _push_raw(f, terms)
         try:
-            G = pushforward_map(f, G, bit_budget=bit_budget)
+            _check_budget(nxt, bit_budget)
         except BitBudgetError as exc:
             warnings.append(f"exact iterate stops at k={depth}, over bit budget: {exc}")
             break
-        depth += 1
+        terms, depth = nxt, depth + 1
+    G = _raw_divisor(terms)
     exact_inf = exact_inf and depth == k
 
     value = mp.mpf(0)

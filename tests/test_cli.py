@@ -319,9 +319,42 @@ class TestMandelSlice:
                          "--out", str(tmp_path / "r")])
             assert code == 2
             errs[threads] = capsys.readouterr().err
-        assert errs["1"].startswith("error: scaled step")
+        # the exact steps stop at the budget, and scaled mode refuses step 4
+        assert errs["1"].startswith("error: scaled step 4")
         assert errs["2"] == errs["1"]
         assert multiprocessing.active_children() == []
+
+    def test_unipotent_d3_grid_is_exact(self, capsys, mapfile, tmp_path):
+        # the U3 grid, where scaled cells were off by up to 0.256: every cell
+        # is affordable exactly and matches the exact-mode truncation
+        A = [[1, 1], [0, 1]]
+        mapf = mapfile("u3.json", {"N": 2, "d": 3, "A": [["1", "1"], ["0", "1"]],
+                                   "b": ["0", "0"]})
+        base = str(tmp_path / "u3")
+        code, _ = run(capsys, ["mandel-slice", "--map", mapf, "--grid=-3:3:0:5",
+                               "--max-iter", "2", "--threads", "2", "--out", base])
+        assert code == 0
+        lines = open(base + ".csv").read().splitlines()
+        assert json.loads(lines[0][2:])["modes"] == {"exact": 25, "scaled": 0}
+        axis = [Fraction(-3), Fraction(-3, 2), Fraction(0), Fraction(3, 2), Fraction(3)]
+        for row, b2 in zip(lines[1:], axis):
+            for cell, b1 in zip(row.split(","), axis):
+                f = relesc.MinCritMap(2, 3, A, [b1, b2])
+                want = relesc.delta_estimate(f, relesc.critical_divisor(f), 2,
+                                             relesc.INF, mode="exact").value_float()
+                assert abs(float(cell) - want) < 1e-9, (b1, b2)
+
+    def test_cancelling_unipotent_cell(self, capsys, mapfile, tmp_path):
+        # scaled mode read 0.0779364 here; the exact truncation at k=4 is
+        # 0.0332614...
+        mapf = mapfile("u.json", self.UNIPOTENT)
+        base = str(tmp_path / "c")
+        code, _ = run(capsys, ["mandel-slice", "--map", mapf, "--grid=-1.5:-1.5:0:1",
+                               "--max-iter", "4", "--out", base])
+        assert code == 0
+        header, value = open(base + ".csv").read().splitlines()
+        assert json.loads(header[2:])["modes"] == {"exact": 1, "scaled": 0}
+        assert abs(float(value) - 0.03326140188078481) < 1e-9
 
     @pytest.fixture
     def no_pool(self, monkeypatch):

@@ -3,9 +3,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from relesc.forms import (HomogeneousForm as HF, compose_linear, form_product,
-                          power_pullback, power_pushforward, slice_form)
-from relesc.rational import UsageError
+from relesc.divisors import MinCritMap, critical_divisor, pushforward_map
+from relesc.forms import (HomogeneousForm as HF, _acc_add, _pack, _packed_mul,
+                          _subst_raw, _unpack, compose_linear, form_product,
+                          power_pullback, power_pushforward, pushforward_terms,
+                          slice_form)
+from relesc.rational import UsageError, det_exact
 
 
 def rand_form(rng, n, deg, bound=9, maxterms=6):
@@ -119,6 +122,119 @@ def naive_compose(F, M):
         for k, v in expansion.items():
             out[k] = out.get(k, Q(0)) + c * v
     return {k: v for k, v in out.items() if v != 0}
+
+
+def horner_subst(terms, M, n):
+    """Oracle for _subst_raw: substitute sum_j M[i][j] X_j for X_i by a
+    nested Horner scheme over the variables, on packed monomials.  This was
+    the library's substitution before it split M into shears and Taylor
+    shifts; it shares only packing and the sparse product with them."""
+    if not terms:
+        return {}
+    base = max(sum(exps) for exps in terms) + 1
+    rows = [{base ** j: c for j, c in enumerate(row) if c} for row in M]
+
+    def subst(sub, var):
+        if var == n:
+            return sub
+        shift = base ** var
+        by_e = {}
+        for key, c in sub.items():
+            e = key // shift % base
+            by_e.setdefault(e, {})[key - e * shift] = c
+        acc = {}
+        for e in range(max(by_e), -1, -1):
+            if acc:
+                acc = _packed_mul(acc, rows[var])
+            if e in by_e:
+                _acc_add(acc, subst(by_e[e], var + 1))
+        return acc
+
+    return _unpack(subst(_pack(terms, base), 0), base, n)
+
+
+def shear_subst(terms, M, n):
+    """_subst_raw with its scalar divided out."""
+    out, s = _subst_raw(terms, M, n)
+    assert s > 0
+    return {e: Q(c) / s for e, c in out.items()}
+
+
+def rand_matrix(rng, n, den=1):
+    """A random invertible n x n matrix, entries a/b with 1 <= b <= den."""
+    while True:
+        M = [[Q(rng.randint(-4, 4), rng.randint(1, den)) if rng.random() < 0.7 else Q(0)
+              for _ in range(n)] for _ in range(n)]
+        if det_exact(M):
+            return M
+
+
+class TestSubstRaw:
+    """The shear-and-Taylor-shift substitution against the nested Horner."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("coeff", [int, Q])
+    def test_random_forms(self, n, coeff):
+        rng = random.Random(100 * n + (coeff is Q))
+        for _ in range(12):
+            F = rand_form(rng, n, rng.randint(0, 6), maxterms=10)
+            terms = {e: c / rng.randint(1, 9) if coeff is Q else c.numerator
+                     for e, c in F.terms.items()}
+            M = rand_matrix(rng, n, den=rng.choice([1, 3, 10**20 + 39]))
+            assert shear_subst(terms, M, n) == horner_subst(terms, M, n)
+
+    def test_integer_matrix_keeps_integers(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            F = rand_form(rng, 3, 4, maxterms=8)
+            terms = {e: c.numerator for e, c in F.terms.items()}
+            M = [[int(x) for x in row] for row in rand_matrix(rng, 3)]
+            out, s = _subst_raw(terms, M, 3)
+            assert all(isinstance(c, int) and c % s == 0 for c in out.values())
+            assert {e: c // s for e, c in out.items()} == horner_subst(terms, M, 3)
+
+    @pytest.mark.parametrize("M", [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 2, 1], [1, 1, 0], [3, 0, 1]],            # zero pivot, then shears
+        [[0, Q(1, 3), 0], [Q(-2, 5), 0, 1], [1, 0, 0]],
+    ])
+    def test_swaps_and_permutations(self, M):
+        rng = random.Random(9)
+        for deg in (1, 3, 5):
+            F = rand_form(rng, 3, deg, maxterms=12)
+            assert shear_subst(F.terms, M, 3) == horner_subst(F.terms, M, 3)
+
+    def test_large_denominators(self):
+        big = 2 ** 89 - 1
+        M = [[Q(1, big), Q(3, big + 2), Q(0)], [Q(0), Q(big, 7), Q(-1, 3)],
+             [Q(5, big), Q(0), Q(1)]]
+        rng = random.Random(13)
+        for coeff in (int, Q):
+            F = rand_form(rng, 3, 4, maxterms=12)
+            terms = {e: c.numerator if coeff is int else c / 11 for e, c in F.terms.items()}
+            assert shear_subst(terms, M, 3) == horner_subst(terms, M, 3)
+
+    @pytest.mark.parametrize("d, A, b, k", [
+        (2, [[1, 0], [0, 1]], [Q(-50, 53), Q(1, 2)], 3),
+        (2, [[1, 1], [0, 1]], [Q(-3, 2), Q(-3, 2)], 3),
+        (2, [[2, 1], [1, 1]], [Q(55, 59), Q(-1, 2)], 2),    # T S T-like word
+        (3, [[1, 1], [0, 1]], [Q(1, 2), Q(-1)], 1),
+        (2, [[0, -1], [1, 0]], [Q(1, 61), Q(1, 2)], 2),     # zero pivot in L_inv
+    ])
+    def test_bench_like_inverse_maps(self, d, A, b, k):
+        f = MinCritMap(2, d, A, b)
+        G = critical_divisor(f)
+        for _ in range(k):
+            G = pushforward_map(f, G)
+        pushed = pushforward_terms({e: c.numerator for e, c in G.form.terms.items()},
+                                   d, 3)
+        assert shear_subst(pushed, f.L_inv, 3) == horner_subst(pushed, f.L_inv, 3)
+
+    def test_empty_and_constant(self):
+        assert _subst_raw({}, [[1, 0], [0, 1]], 2) == ({}, 1)
+        assert shear_subst({(0, 0): 7}, [[0, 2], [3, 0]], 2) == {(0, 0): 7}
 
 
 class TestComposeLinear:
