@@ -45,13 +45,12 @@ def canonical_form(F: HomogeneousForm) -> HomogeneousForm:
     den = lcm_denominators(F.coefficients())
     ints = {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
     g = content(ints.values())
+    ints = {e: c // g for e, c in ints.items()}
     leading = max(ints)  # lexicographically leading exponent tuple
     if ints[leading] < 0:
-        g = -g
-    elif den == 1 and g == 1:
-        return F
+        ints = {e: -c for e, c in ints.items()}
     return HomogeneousForm(F.num_vars, F.degree,
-                           {e: Fraction(c // g) for e, c in ints.items()})
+                           {e: Fraction(c) for e, c in ints.items()})
 
 
 class Divisor:
@@ -246,10 +245,16 @@ def _raw_terms(D: Divisor) -> dict:
 
 
 def _raw_divisor(terms: dict) -> Divisor:
-    """The divisor of the form with the integer terms given."""
+    """The divisor of integer terms that are already canonical, as _push_raw
+    returns them; their content is not computed again (on a large iterate
+    that gcd costs as much as the step's own)."""
     exps = next(iter(terms))
-    return Divisor(HomogeneousForm(len(exps), sum(exps),
-                                   {e: Fraction(c) for e, c in terms.items()}))
+    form = HomogeneousForm(len(exps), sum(exps),
+                           {e: Fraction(c) for e, c in terms.items()})
+    D = object.__new__(Divisor)
+    object.__setattr__(D, "form", form)
+    object.__setattr__(D, "degree", form.degree)
+    return D
 
 
 def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUDGET) -> Divisor:
