@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import mpmath as mp
 
@@ -23,7 +24,7 @@ from .places import (LocalLog, Place, gauss_norm_log, local_min,
                      log_plus_int, matrix_lambda, matrix_norm_log)
 from .rational import (BitBudgetError, DomainError, UsageError, content,
                        det_exact, lcm_denominators, matrix_inverse_exact,
-                       parse_rational, format_rational)
+                       parse_rational, format_rational, vp, vp_int)
 from .scaled import SlicedForm, step_bytes
 
 DEFAULT_BIT_BUDGET = 1 << 20
@@ -190,11 +191,24 @@ def unicritical_map(d: int, c: Fraction) -> MinCritMap:
 
 def lambda_local(D: Divisor, v: Place) -> LocalLog:
     """lambda_v(D) = log||F||_v - log||F|_H||_v; +inf if D contains H."""
-    F = D.form
-    bottom = slice_form(F, 0)
-    if bottom.is_zero():
+    return _lambda_terms(_raw_terms(D), v)
+
+
+def _lambda_terms(terms: dict, v: Place) -> LocalLog:
+    """lambda_v of the divisor whose canonical form has the integer terms
+    given: log max|c| - log max|c_0| over all coefficients c and those c_0
+    of slice 0 at infinity, and v_p(content of slice 0) log p at p, since
+    the form is primitive; +inf if slice 0 vanishes."""
+    bottom = [c for e, c in terms.items() if not e[-1]]
+    if not bottom:
         return LocalLog.pos_inf(v)
-    return gauss_norm_log(F, v) - gauss_norm_log(bottom, v)
+    if v.is_arch:
+        top, top0 = max(map(abs, terms.values())), max(map(abs, bottom))
+        return LocalLog.arch(mp.log(mp.mpf(top)) - mp.log(mp.mpf(top0)))
+    p = v.p
+    if any(c % p for c in bottom):
+        return LocalLog.padic(v, Fraction(0))
+    return LocalLog.padic(v, Fraction(min(vp_int(c, p) for c in bottom)))
 
 
 def mu_local(D: Divisor, v: Place) -> LocalLog:
@@ -227,16 +241,30 @@ def mu_local(D: Divisor, v: Place) -> LocalLog:
 # push-forward / pull-back
 # ---------------------------------------------------------------------------
 
-def _push_raw(f: MinCritMap, terms: dict) -> dict:
-    """One exact step on raw terms: the primitive integer terms, leading
-    coefficient positive as in canonical_form, of f_* of the divisor whose
-    form has the integer terms given."""
+def _push_raw(f: MinCritMap, terms: dict) -> tuple[dict, Fraction]:
+    """One exact step on raw terms: (G', r) with G' the primitive integer
+    terms, leading coefficient positive as in canonical_form, of f_* of the
+    divisor whose form F has the primitive integer terms given, and r the
+    step scalar, G' = r * G(L^{-1} X) for G = phi_* F.
+
+    Content invariant: G is primitive (Gauss's content lemma over
+    Z[zeta_d]: content(G) = content(F)^(d^N) = 1), so the content g of
+    s * G(L^{-1} X), s the scalar _subst_raw returns, divides
+    s * den(L)^deg, den(L) the lcm of the denominators of L and deg the
+    degree of G.  The gcd is seeded with that small multiple, so it never
+    runs on two large coefficients; r = s / g.
+
+    Valuation invariant: slice 0 of G' is r * (phi_* F_0)(A^{-1} X), so at
+    a prime p where A is p-integral v_p of its content is v_p(r) +
+    d^N v_p(content F_0) (ExactOrbit); elsewhere it must be read off G'."""
     n = f.N + 1
-    terms, _ = _subst_raw(pushforward_terms(terms, f.d, n), f.L_inv, n)
-    g = content(terms.values())
+    deg = sum(next(iter(terms))) * f.d ** (f.N - 1)
+    terms, s = _subst_raw(pushforward_terms(terms, f.d, n), f.L_inv, n)
+    seed = s * lcm_denominators(x for row in f.L for x in row) ** deg
+    g = content(chain((seed,), terms.values()))
     if terms[max(terms)] < 0:
         g = -g
-    return {e: c // g for e, c in terms.items()}
+    return {e: c // g for e, c in terms.items()}, Fraction(s, g)
 
 
 def _raw_terms(D: Divisor) -> dict:
@@ -257,6 +285,48 @@ def _raw_divisor(terms: dict) -> Divisor:
     return D
 
 
+class ExactOrbit:
+    """The exact iterates f_*^j D of a divisor, j = depth, on raw integer
+    terms, with the slice-0 valuations carried along.
+
+    terms are the primitive integer terms of the canonical form of
+    f_*^depth D, each step's content taken by _push_raw's seeded gcd, and
+    vals maps the prime p of each tracked place at which A is p-integral
+    to v_p(content of slice 0 of terms).
+
+    Valuation invariant: slice 0 of the next iterate is
+    r * (phi_* F_0)(A^{-1} X), r the step scalar of _push_raw, and
+    phi_* F_0 has content content(F_0)^(d^N).  An A that is p-integral has
+    det 1, so A^{-1} is p-integral too and the substitution keeps the
+    p-adic content: v <- v_p(r) + d^N v, with no valuation of a large
+    coefficient.  Where A is not p-integral the substitution can change the
+    content, so lambda_p is read off the iterate, as at infinity.
+    """
+
+    __slots__ = ("f", "terms", "depth", "vals")
+
+    def __init__(self, f: MinCritMap, D: Divisor, places=()):
+        """The orbit of D, tracking the finite places given."""
+        self.f, self.terms, self.depth = f, _raw_terms(D), 0
+        den_A = lcm_denominators(x for row in f.A for x in row)
+        self.vals = {v.p: _lambda_terms(self.terms, v).r
+                     for v in places if den_A % v.p}
+
+    def step(self, bit_budget: int = DEFAULT_BIT_BUDGET) -> None:
+        """Advance one step; on BitBudgetError the orbit is left as it was."""
+        terms, r = _push_raw(self.f, self.terms)
+        _check_budget(terms, bit_budget)
+        dN = self.f.d ** self.f.N
+        self.vals = {p: vp(r, p) + dN * v for p, v in self.vals.items()}
+        self.terms, self.depth = terms, self.depth + 1
+
+    def lam(self, v: Place) -> LocalLog:
+        """lambda_v of the current iterate."""
+        if v.p in self.vals:
+            return LocalLog.padic(v, self.vals[v.p])
+        return _lambda_terms(self.terms, v)
+
+
 def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUDGET) -> Divisor:
     """f_* D = L_* phi_* D with L_* = (L^{-1})^*, exactly.
 
@@ -265,7 +335,7 @@ def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUD
     scalar of the substitution drops out in canonicalization).
     """
     _check_dim(f, D)
-    terms = _push_raw(f, _raw_terms(D))
+    terms, _ = _push_raw(f, _raw_terms(D))
     _check_budget(terms, bit_budget)
     return _raw_divisor(terms)
 
@@ -417,16 +487,15 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
         raise UsageError("scaled mode is only valid at the archimedean place")
     d, N = f.d, f.N
     if mode != "scaled":
-        terms = _raw_terms(D)
+        orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
         for _ in range(k):
             if mode is None and v.is_arch:
-                size, bits = _next_step_size(f, terms)
+                size, bits = _next_step_size(f, orbit.terms)
                 if size > EXACT_STEP_BITS or bits > bit_budget:
                     break
-            terms = _push_raw(f, terms)
-            _check_budget(terms, bit_budget)
+            orbit.step(bit_budget)
         else:
-            return truncated_estimate(f, D.degree, lambda_local(_raw_divisor(terms), v), k)
+            return truncated_estimate(f, D.degree, orbit.lam(v), k)
     if N >= 3:
         # a cost refusal: SlicedForm takes any N, but this is ~1e10 floats
         # for the critical divisor at N=3, d=2, k=5

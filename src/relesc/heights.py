@@ -16,10 +16,10 @@ from math import factorial
 
 import mpmath as mp
 
-from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, MinCritMap,
-                       _check_budget, _push_raw, _raw_divisor, _raw_terms,
-                       critical_divisor, delta_estimate, lambda_local,
-                       scaled_depth, slice_form, truncated_estimate)
+from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, ExactOrbit,
+                       MinCritMap, critical_divisor, delta_estimate,
+                       lambda_local, scaled_depth, slice_form,
+                       truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
@@ -196,6 +196,13 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     infinity falls back to scaled at the deepest depth <= k predicted to
     fit.  At every other place Delta_v(D) = lambda_v(D) exactly.  A scaled
     infinity adds a warning: its radius does not cover float rounding.
+
+    The iterate is an ExactOrbit: each step's content is a gcd seeded with
+    s * den(L)^deg, a small multiple of it (_push_raw), and at each bad
+    prime p where A is p-integral the orbit carries v = v_p(content of
+    slice 0) through v <- v_p(r) + d^N v, r the step scalar, so lambda_p =
+    v log p is exact without a valuation of a large coefficient.  Where A
+    is not p-integral, and at infinity, lambda is read off the iterate.
     """
     if D.contains_hyperplane_at_infinity():
         raise DomainError("relative canonical height undefined for D containing H")
@@ -208,29 +215,27 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     if places is None:
         places = auto_places(f, D, bad)
     exact_inf = INF in places and ((N == 1 and k <= 10) or (N == 2 and k <= 3))
-    exact_primes = any(not v.is_arch and v.p in bad for v in places)
-    target = k if exact_inf else min(k, k_padic) if exact_primes else 0
+    bad_places = [v for v in places if not v.is_arch and v.p in bad]
+    target = k if exact_inf else min(k, k_padic) if bad_places else 0
     warnings: list[str] = []
-    terms, depth = _raw_terms(D), 0
-    while depth < target:
-        nxt = _push_raw(f, terms)
+    orbit = ExactOrbit(f, D, bad_places)
+    while orbit.depth < target:
         try:
-            _check_budget(nxt, bit_budget)
+            orbit.step(bit_budget)
         except BitBudgetError as exc:
-            warnings.append(f"exact iterate stops at k={depth}, over bit budget: {exc}")
+            warnings.append(f"exact iterate stops at k={orbit.depth}, over bit budget: {exc}")
             break
-        terms, depth = nxt, depth + 1
-    G = _raw_divisor(terms)
+    depth = orbit.depth
     exact_inf = exact_inf and depth == k
 
     value = mp.mpf(0)
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}
     for v in places:
-        if (v.is_arch and exact_inf) or (not v.is_arch and v.p in bad):
+        if (v.is_arch and exact_inf) or v in bad_places:
             if depth < min(k, k_padic):
                 warnings.append(f"budget at {v}: retrying with k={depth}")
-            est = truncated_estimate(f, D.degree, lambda_local(G, v), depth)
+            est = truncated_estimate(f, D.degree, orbit.lam(v), depth)
         elif v.is_arch:
             k_v = scaled_depth(N, d, D.degree, k)
             if k_v < k:

@@ -5,15 +5,19 @@ from itertools import product
 import mpmath as mp
 import pytest
 
-from relesc.divisors import (Divisor, MinCritMap, critical_divisor,
-                             delta_estimate, delta_relative_critical,
-                             lambda_local, mu_local, pullback_map,
-                             pullback_translation, pushforward_map,
-                             unicritical_map)
-from relesc.forms import (HomogeneousForm as HF, compose_linear, power_pullback,
-                          power_pushforward)
-from relesc.places import INF, Place, LocalLog
-from relesc.rational import BitBudgetError, DomainError, UsageError
+from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _lambda_terms,
+                             _next_step_size, _push_raw, _raw_terms,
+                             critical_divisor, delta_estimate,
+                             delta_relative_critical, lambda_local, mu_local,
+                             pullback_map, pullback_translation,
+                             pushforward_map, unicritical_map)
+from relesc.forms import (HomogeneousForm as HF, _subst_raw, compose_linear,
+                          power_pullback, power_pushforward, pushforward_terms,
+                          slice_form)
+from relesc.heights import map_bad_primes
+from relesc.places import INF, Place, LocalLog, gauss_norm_log
+from relesc.rational import (BitBudgetError, DomainError, UsageError, content,
+                             lcm_denominators, vp)
 
 P2, P3, P5 = Place(2), Place(3), Place(5)
 
@@ -312,3 +316,133 @@ class TestDeltaScalingLaws:
         dPush = delta_estimate(f, pushforward_map(f, D), k, INF)
         assert abs(dPush.value_float() - 4 * dD.value_float()) \
             <= float(dPush.error.to_mpf()) + 4 * float(dD.error.to_mpf()) + 1e-9
+
+
+SL2_SAMPLES = [
+    [[Q(1), Q(0)], [Q(0), Q(1)]],
+    [[Q(1), Q(1)], [Q(0), Q(1)]],
+    [[Q(2), Q(0)], [Q(0), Q(1, 2)]],
+    [[Q(1, 2), Q(1)], [Q(-1, 2), Q(1)]],
+]
+
+
+def _seeded_maps():
+    """Maps over N in {1, 2}, d in {2, 3, 4, 5} and, for N = 2, the SL2
+    samples, with b drawn from a seeded generator."""
+    rng = random.Random(15)
+
+    def rand_b(N):
+        return [Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 10]))
+                for _ in range(N)]
+
+    out = []
+    for d in (2, 3, 4, 5):
+        out.append(pytest.param(unicritical_map(d, rand_b(1)[0]), id=f"N1d{d}"))
+        out += [pytest.param(MinCritMap(2, d, A, rand_b(2)), id=f"N2d{d}A{i}")
+                for i, A in enumerate(SL2_SAMPLES)]
+    return out
+
+
+class TestExactOrbit:
+    """The exact step's seeded content and the carried slice-0 valuations,
+    against the full gcd and a direct reading of every iterate."""
+
+    @pytest.mark.parametrize("f", _seeded_maps())
+    def test_seeded_content_is_the_full_content(self, f):
+        n = f.N + 1
+        den_L = lcm_denominators(x for row in f.L for x in row)
+        line = {tuple(int(i == j) for j in range(n)): i + 1 for i in range(n)}
+        for terms in (_raw_terms(critical_divisor(f)), line):
+            # at least one step, then while the next iterate stays small
+            for steps in range(5):
+                if steps and _next_step_size(f, terms)[0] > 1 << 20:
+                    break
+                G = pushforward_terms(terms, f.d, n)
+                assert content(G.values()) == 1  # Gauss's content lemma
+                T, s = _subst_raw(G, f.L_inv, n)
+                g = content(T.values())
+                assert s * den_L ** sum(next(iter(G))) % g == 0
+                if T[max(T)] < 0:
+                    g = -g
+                terms, r = _push_raw(f, terms)
+                assert r == Q(s, g)
+                assert terms == {e: c // g for e, c in T.items()}
+
+    def test_carried_valuation_reads_the_iterate(self):
+        cases = [
+            (unicritical_map(3, Q(17, 7 * 11)), 5),
+            (unicritical_map(2, Q(5, 12)), 6),
+            (MinCritMap(2, 2, SL2_SAMPLES[0], [Q(3, 4), Q(1, 5)]), 3),
+            (MinCritMap(2, 2, SL2_SAMPLES[1], [Q(1, 2), Q(-1, 3)]), 3),
+            (MinCritMap(2, 3, SL2_SAMPLES[2], [Q(1, 3), Q(5, 2)]), 2),
+            (MinCritMap(2, 2, SL2_SAMPLES[3], [Q(1, 3), Q(1)]), 3),
+        ]
+        for f, k in cases:
+            bad = map_bad_primes(f)
+            orbit = ExactOrbit(f, critical_divisor(f), [Place(p) for p in bad])
+            for _ in range(k):
+                orbit.step()
+                for p in bad:
+                    v = Place(p)
+                    assert orbit.lam(v) == _lambda_terms(orbit.terms, v)
+            assert orbit.depth == k
+
+    def test_non_integral_A_reads_the_iterate(self):
+        # A is not 2-integral: the recurrence alone reads 80 log 2 at k=3,
+        # the iterate reads 0
+        f = MinCritMap(2, 2, SL2_SAMPLES[3], [Q(1, 3), Q(1)])
+        terms = _raw_terms(critical_divisor(f))
+        v = _lambda_terms(terms, P2).r
+        for _ in range(3):
+            terms, r = _push_raw(f, terms)
+            v = vp(r, 2) + f.d ** f.N * v
+        assert v == 80
+        orbit = ExactOrbit(f, critical_divisor(f), [P2, P3])
+        assert set(orbit.vals) == {3}
+        for _ in range(3):
+            orbit.step()
+        assert orbit.terms == terms
+        assert orbit.lam(P2) == LocalLog.padic(P2, Q(0))
+        assert delta_estimate(f, critical_divisor(f), 3, P2).value.r == 0
+
+    def test_failed_step_leaves_the_orbit(self):
+        P7 = Place(7)
+        orbit = ExactOrbit(unicritical_map(2, Q(12345, 7)), Divisor.point(Q(0)), [P7])
+        while True:
+            before = (orbit.terms, dict(orbit.vals), orbit.depth)
+            try:
+                orbit.step(bit_budget=256)
+            except BitBudgetError:
+                break
+        assert (orbit.terms, orbit.vals, orbit.depth) == before
+        assert orbit.lam(P7) == _lambda_terms(orbit.terms, P7)
+
+    def test_lambda_local_is_the_slice_formula(self):
+        # bit-identical to log||F||_v - log||F_0||_v read through Gauss norms
+        rng = random.Random(7)
+        Ds = [Divisor.point(Q(rng.randint(-50, 50), rng.randint(1, 60)))
+              for _ in range(20)]
+        for _ in range(20):
+            N = rng.choice([1, 2])
+            deg = rng.randint(1, 4)
+            terms = {}
+            for _ in range(6):
+                e = [0] * (N + 1)
+                for _ in range(deg):
+                    e[rng.randrange(N + 1)] += 1
+                terms[tuple(e)] = Q(rng.randint(-10**12, 10**12), rng.choice([1, 8, 27, 35]))
+            if any(terms.values()):
+                Ds.append(Divisor(HF(N + 1, deg, terms)))
+        Ds += [pushforward_map(unicritical_map(3, Q(17, 77)), Ds[0])]
+        for D in Ds:
+            F0 = slice_form(D.form, 0)
+            for v in (INF, P2, P3, P5, Place(7)):
+                got = lambda_local(D, v)
+                if F0.is_zero():
+                    assert got.kind == "pos"
+                    continue
+                want = gauss_norm_log(D.form, v) - gauss_norm_log(F0, v)
+                if v.is_arch:
+                    assert got.x == want.x
+                else:
+                    assert got.r == want.r

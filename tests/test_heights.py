@@ -8,9 +8,11 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from relesc import divisors, heights
+import relesc
+from relesc import divisors
 from relesc.divisors import (Divisor, MinCritMap, critical_divisor,
-                             delta_estimate, pushforward_map, unicritical_map)
+                             delta_estimate, lambda_local, pushforward_map,
+                             unicritical_map)
 from relesc.forms import HomogeneousForm as HF
 from relesc.heights import (good_reduction, height_divisor, main_bound_constants,
                             matrix_height, point_height,
@@ -18,7 +20,7 @@ from relesc.heights import (good_reduction, height_divisor, main_bound_constants
                             relative_height, relative_height_by_places,
                             thm_main_bounds)
 from relesc.places import INF, Place
-from relesc.rational import DomainError, vp
+from relesc.rational import DomainError, vp, vp_int
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -146,13 +148,36 @@ class TestRelativeCanonicalHeight:
             calls.append(1)
             return push(*a, **kw)
 
-        monkeypatch.setattr(heights, "_push_raw", counted)
         monkeypatch.setattr(divisors, "_push_raw", counted)
         g = relative_canonical_height(f, D)
         assert len(calls) == 8
         monkeypatch.undo()
         for p in (11, 13):
             assert g.per_place[str(p)] == delta_estimate(f, D, 8, Place(p), mode="exact")
+
+    def test_no_valuation_of_a_big_coefficient(self, monkeypatch):
+        # the slice-0 coefficient of the k=8 iterate has 174 kbit and
+        # v_p = 4374 at both primes; the orbit carries that valuation
+        f = unicritical_map(3, Q(17, 900007 * 999983))
+        original, seen = vp_int, []
+
+        def recorded(n, p):
+            seen.append(abs(n).bit_length())
+            return original(n, p)
+
+        for mod in vars(relesc).values():
+            if getattr(mod, "vp_int", None) is original:
+                monkeypatch.setattr(mod, "vp_int", recorded)
+        g = relative_critical_height(f)
+        monkeypatch.undo()
+        assert seen and max(seen) <= 4096
+        G = critical_divisor(f)
+        for _ in range(8):
+            G = pushforward_map(f, G)
+        for p in (900007, 999983):
+            est = g.per_place[str(p)]
+            assert est.iterations_used == 8
+            assert est.value.r * 3 ** 8 == lambda_local(G, Place(p)).r == 4374
 
     def test_places_restrict_the_sum(self):
         f = unicritical_map(2, Q(5, 6))
