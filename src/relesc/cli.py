@@ -364,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--place", default="inf")
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--mode", choices=["exact", "scaled"], default=None,
-                   help="default: exact at a prime; at inf exact while each "
-                        "next iterate is predicted to fit the exact step "
-                        "budget, else scaled (the output echoes the mode)")
+                   help="default: exact at a prime; at inf exact while the "
+                        "iterate at depth --iters is predicted to fit the "
+                        "exact step budget, else scaled (the output echoes "
+                        "the mode)")
     p.add_argument("--digits", type=int, default=17)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_escape_rate)

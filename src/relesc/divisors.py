@@ -30,12 +30,13 @@ from .scaled import SlicedForm, step_bytes
 DEFAULT_BIT_BUDGET = 1 << 20
 # scaled mode refuses a step predicted to need more memory than this
 SCALED_STEP_BYTES = 1 << 30
-# delta_estimate(mode=None) at infinity steps exactly while the next iterate
-# is predicted (_next_step_size) to hold at most this many coefficient bits,
-# terms x bits.  Calibration (2 cores, Python 3.11, no gmpy2): the exact
-# steps to N=2, d=2, k=4 and d=3, k=2 make 0.06-0.5 Mbit in 0.01-0.03 s a
-# step; the next ones, d=2 step 5 (1.8-7.1 Mbit) and d=3 step 3 (4.5-5.0
-# Mbit), take 0.3-1.3 s and 3.4 s, where the scaled steps take hundredths.
+# infinity is exact (exact_fits, asked by delta_estimate(mode=None), the
+# heights and the lemma harness) while the iterate at depth k is predicted
+# to hold at most this many coefficient bits, terms x bits.  Calibration
+# (2 cores, Python 3.11, no gmpy2): the exact steps to N=2, d=2, k=4 and
+# d=3, k=2 make 0.06-0.5 Mbit in 0.01-0.03 s a step; the next ones, d=2
+# step 5 (1.8-7.1 Mbit) and d=3 step 3 (4.5-5.0 Mbit), take 0.3-1.3 s and
+# 3.4 s, where the scaled steps take hundredths.
 EXACT_STEP_BITS = 1 << 20
 
 
@@ -453,13 +454,17 @@ def truncated_estimate(f: MinCritMap, deg: int, lam: LocalLog, k: int,
                     iterations_used=k, place=v, mode=mode)
 
 
-def _next_step_size(f: MinCritMap, terms: dict) -> tuple[int, int]:
-    """(terms x bits, bits) predicted for the exact iterate one step after
-    the integer terms given: a step multiplies the degree by d^(N-1), so the
-    number of terms by about d^(N(N-1)), and the coefficient bits by d^N."""
+def exact_fits(f: MinCritMap, terms: dict, steps: int, bit_budget: int) -> bool:
+    """Whether the exact iterate that many steps past the integer terms
+    given is predicted to fit: at most EXACT_STEP_BITS coefficient bits in
+    all (terms x bits) and at most bit_budget bits a coefficient.  A step
+    multiplies the degree by d^(N-1), so the number of terms by about
+    d^(N(N-1)), and the coefficient bits by d^N.  This is the one rule for
+    exact or scaled at infinity."""
     N, d = f.N, f.d
-    bits = max(abs(c).bit_length() for c in terms.values()) * d ** N
-    return len(terms) * d ** (N * (N - 1)) * bits, bits
+    bits = max(abs(c).bit_length() for c in terms.values()) * d ** (N * steps)
+    size = len(terms) * d ** (N * (N - 1) * steps) * bits
+    return size <= EXACT_STEP_BITS and bits <= bit_budget
 
 
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
@@ -472,9 +477,10 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     the coefficient bit budget); 'scaled' (archimedean only) iterates
     renormalized floats, refusing up front (BitBudgetError) when a step is
     predicted to need more than SCALED_STEP_BYTES.  Default: exact at a
-    finite place; at the archimedean place exact while each next iterate is
-    predicted to fit EXACT_STEP_BITS and the bit budget, else scaled from
-    D.  The Estimate's mode says which one ran.
+    finite place; at the archimedean place exact while exact_fits predicts,
+    before each step, that the iterate at depth k fits EXACT_STEP_BITS and
+    the bit budget, else scaled from D.  The Estimate's mode says which one
+    ran.
     """
     _check_dim(f, D)
     if k < 0:
@@ -489,10 +495,9 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     if mode != "scaled":
         orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
         for _ in range(k):
-            if mode is None and v.is_arch:
-                size, bits = _next_step_size(f, orbit.terms)
-                if size > EXACT_STEP_BITS or bits > bit_budget:
-                    break
+            if (mode is None and v.is_arch
+                    and not exact_fits(f, orbit.terms, k - orbit.depth, bit_budget)):
+                break
             orbit.step(bit_budget)
         else:
             return truncated_estimate(f, D.degree, orbit.lam(v), k)

@@ -100,11 +100,7 @@ class Instance:
         key = D.form.key()
         if key not in self._delta_memo:
             k = self.profile.k_arch if self.place.is_arch else self.profile.k_padic
-            # scaled at infinity, as before delta_estimate's default turned
-            # exact where affordable: the suite's values stay those of the
-            # scaled backend
-            mode = "scaled" if self.place.is_arch else "exact"
-            self._delta_memo[key] = delta_estimate(self.f, D, k, self.place, mode=mode)
+            self._delta_memo[key] = delta_estimate(self.f, D, k, self.place)
         return self._delta_memo[key]
 
     def to_json_dict(self) -> dict:
@@ -649,14 +645,7 @@ def _check_crit_upper(inst: Instance):
 
 
 def _check_thm_main(inst: Instance):
-    f = inst.f
-    k = inst.profile.k_arch
-    # huge-height targeted maps: exact p-adic coefficient sizes scale with
-    # h(b), so ask for k_padic=1 (the certified error merely grows).  It
-    # only takes effect when infinity is scaled: with infinity exact (e.g.
-    # n2d2-big, k_arch=3) the primes read the one iterate at depth k_arch
-    k_padic = 1 if inst.profile.targeted else (None if f.N == 1 else 3)
-    rep = thm_main_bounds(f, k, k_padic=k_padic)
+    rep = thm_main_bounds(inst.f, inst.profile.k_arch)
     ok = rep["verdict"] != "violation"
     lo = float(rep["value"] - rep["error"] - rep["lower_bound"])
     hi = float(rep["upper_bound"] - (rep["value"] + rep["error"]))

@@ -18,7 +18,7 @@ import mpmath as mp
 
 from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, ExactOrbit,
                        MinCritMap, critical_divisor, delta_estimate,
-                       lambda_local, scaled_depth, slice_form,
+                       exact_fits, lambda_local, scaled_depth, slice_form,
                        truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
@@ -184,18 +184,21 @@ def auto_places(f: MinCritMap, D: Divisor, bad: list[int]) -> list[Place]:
 
 
 def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
-                              k_padic: int | None = None,
                               bit_budget: int = DEFAULT_BIT_BUDGET,
                               places: list[Place] | None = None) -> GlobalEstimate:
     """hat{h}_f(D) - hat{h}_{f|H}(D|_H) = sum_v Delta_{f,v}(D) over places
     (default auto_places), truncated, with the certified tails as error.
 
-    D is pushed exactly once: to k when infinity is exact (small k), else to
-    min(k, k_padic).  Infinity, if exact, and the bad primes read lambda_v
-    off that iterate, or off the deepest one within the bit budget, where
-    infinity falls back to scaled at the deepest depth <= k predicted to
-    fit.  At every other place Delta_v(D) = lambda_v(D) exactly.  A scaled
-    infinity adds a warning: its radius does not cover float rounding.
+    D is pushed exactly once.  Infinity is exact by delta_estimate's rule:
+    before each step divisors.exact_fits must predict that the iterate at
+    depth k fits.  While it does the orbit steps to k; once it declines,
+    the orbit stops at min(k, padic_k_default) for the bad primes (or where
+    it already is, if deeper).  Infinity, if exact, and the bad primes read
+    lambda_v off that iterate, or off the deepest one within the bit
+    budget, where infinity falls back to scaled at the deepest depth <= k
+    predicted to fit.  At every other place Delta_v(D) = lambda_v(D)
+    exactly.  A scaled infinity adds a warning: its radius does not cover
+    float rounding.
 
     The iterate is an ExactOrbit: each step's content is a gcd seeded with
     s * den(L)^deg, a small multiple of it (_push_raw), and at each bad
@@ -209,17 +212,19 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     N, d = f.N, f.d
     if k is None:
         k = default_k(N)
-    if k_padic is None:
-        k_padic = min(k, padic_k_default(N, d, D.degree))
+    k_bad = min(k, padic_k_default(N, d, D.degree))
     bad = map_bad_primes(f)
     if places is None:
         places = auto_places(f, D, bad)
-    exact_inf = INF in places and ((N == 1 and k <= 10) or (N == 2 and k <= 3))
+    exact_inf = INF in places
     bad_places = [v for v in places if not v.is_arch and v.p in bad]
-    target = k if exact_inf else min(k, k_padic) if bad_places else 0
     warnings: list[str] = []
     orbit = ExactOrbit(f, D, bad_places)
-    while orbit.depth < target:
+    while orbit.depth < k:
+        exact_inf = exact_inf and exact_fits(f, orbit.terms, k - orbit.depth,
+                                             bit_budget)
+        if not exact_inf and orbit.depth >= (k_bad if bad_places else 0):
+            break
         try:
             orbit.step(bit_budget)
         except BitBudgetError as exc:
@@ -233,13 +238,13 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     per_place: dict[str, Estimate] = {}
     for v in places:
         if (v.is_arch and exact_inf) or v in bad_places:
-            if depth < min(k, k_padic):
-                warnings.append(f"budget at {v}: retrying with k={depth}")
+            if depth < k_bad:
+                warnings.append(f"budget at {v}: read at k={depth}")
             est = truncated_estimate(f, D.degree, orbit.lam(v), depth)
         elif v.is_arch:
             k_v = scaled_depth(N, d, D.degree, k)
             if k_v < k:
-                warnings.append(f"budget at {v}: retrying with k={k_v}")
+                warnings.append(f"budget at {v}: read at k={k_v}")
             est = delta_estimate(f, D, k_v, v, mode="scaled")
             warnings.append(f"scaled at {v}: the radius covers the truncation "
                             "tail, not float rounding")
@@ -285,7 +290,6 @@ def main_bound_constants(N: int, d: int) -> tuple:
 
 
 def thm_main_bounds(f: MinCritMap, k: int | None = None,
-                    k_padic: int | None = None,
                     rch: GlobalEstimate | None = None) -> dict:
     """Check the explicit height sandwich for the relative critical height.
 
@@ -299,7 +303,7 @@ def thm_main_bounds(f: MinCritMap, k: int | None = None,
     """
     N, d = f.N, f.d
     if rch is None:
-        rch = relative_critical_height(f, k, k_padic=k_padic)
+        rch = relative_critical_height(f, k)
     h_b = point_height(f.b)
     h_A = matrix_height(f.A)
     h_Ainv = matrix_height(f.A_inv)

@@ -5,9 +5,10 @@ from itertools import product
 import mpmath as mp
 import pytest
 
+from relesc import divisors
 from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _lambda_terms,
-                             _next_step_size, _push_raw, _raw_terms,
-                             critical_divisor, delta_estimate,
+                             _push_raw, _raw_terms, critical_divisor,
+                             delta_estimate, exact_fits,
                              delta_relative_critical, lambda_local, mu_local,
                              pullback_map, pullback_translation,
                              pushforward_map, unicritical_map)
@@ -247,6 +248,27 @@ class TestDeltaEstimate:
             e2 = delta_estimate(f, D, k, INF, mode="scaled")
             assert abs(e1.value_float() - e2.value_float()) <= 1e-9
 
+    def test_default_mode_keeps_no_wasted_exact_steps(self, monkeypatch):
+        # the iterate at depth 20 is predicted over EXACT_STEP_BITS after
+        # one step, so the estimate turns scaled there, not 19 steps later
+        f = unicritical_map(2, Q(3))
+        D = Divisor.point(Q(0))
+        calls = []
+        push = divisors._push_raw
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return push(*a, **kw)
+
+        monkeypatch.setattr(divisors, "_push_raw", counted)
+        est = delta_estimate(f, D, 20, INF)
+        monkeypatch.undo()
+        assert len(calls) <= 1
+        scaled = delta_estimate(f, D, 20, INF, mode="scaled")
+        assert est.mode == "scaled"
+        assert est.value.to_mpf() == scaled.value.to_mpf()
+        assert est.error.to_mpf() == scaled.error.to_mpf()
+
     def test_crit_lower_bound_example(self):
         # N=2, d=2, A=I, b=(5,7): value >= (1/2)log 7 - c9/2 - constants
         from relesc.places import place_constants, matrix_lambda, matrix_xi
@@ -355,7 +377,7 @@ class TestExactOrbit:
         for terms in (_raw_terms(critical_divisor(f)), line):
             # at least one step, then while the next iterate stays small
             for steps in range(5):
-                if steps and _next_step_size(f, terms)[0] > 1 << 20:
+                if steps and not exact_fits(f, terms, 1, 1 << 20):
                     break
                 G = pushforward_terms(terms, f.d, n)
                 assert content(G.values()) == 1  # Gauss's content lemma

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from relesc.divisors import critical_divisor, delta_estimate
 from relesc.harness import (_CHECKS, LEMMA_IDS, _abs_le, _eq, _le,
                             audit_constants, check, default_profiles,
                             random_instance, run_suite)
@@ -30,6 +31,15 @@ class TestSampling:
                 assert not D.contains_hyperplane_at_infinity()
                 assert not D.contains_origin_point()
             assert inst.resamples >= 0
+
+    def test_delta_takes_the_default_mode(self):
+        # an n2d2 instance at infinity reads the exact iterate at k_arch,
+        # as delta_estimate's default does there
+        inst = random_instance(3, default_profiles()[2])
+        assert inst.place == INF
+        D = critical_divisor(inst.f)
+        exact = delta_estimate(inst.f, D, inst.profile.k_arch, INF, mode="exact")
+        assert inst.delta(D) == exact
 
     def test_sl_matrices(self):
         from relesc.rational import det_exact

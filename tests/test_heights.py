@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -15,12 +16,12 @@ from relesc.divisors import (Divisor, MinCritMap, critical_divisor,
                              unicritical_map)
 from relesc.forms import HomogeneousForm as HF
 from relesc.heights import (good_reduction, height_divisor, main_bound_constants,
-                            matrix_height, point_height,
+                            matrix_height, padic_k_default, point_height,
                             relative_canonical_height, relative_critical_height,
                             relative_height, relative_height_by_places,
                             thm_main_bounds)
 from relesc.places import INF, Place
-from relesc.rational import DomainError, vp, vp_int
+from relesc.rational import DomainError, UsageError, vp, vp_int
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,15 +117,18 @@ class TestRelativeCanonicalHeight:
         assert near(sum(mp.mpf(e["error"]) for e in parts.values()), g.error)
 
     @pytest.mark.parametrize("f, D, k", [
-        (unicritical_map(2, Q(5, 3)), Divisor.point(Q(2)), 8),
+        (unicritical_map(2, Q(5, 3)), Divisor.point(Q(2)), 10),
         (MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(1, 2), Q(3)]),
-         Divisor(HF(3, 1, {(1, 0, 0): Q(1), (0, 1, 0): Q(1), (0, 0, 1): Q(4)})), 3),
+         Divisor(HF(3, 5, {(5, 0, 0): Q(1), (0, 5, 0): Q(1), (1, 2, 2): Q(1),
+                           (0, 0, 5): Q(4)})), 3),
     ], ids=["n1", "n2"])
     def test_exact_infinity_reads_one_iterate(self, f, D, k):
-        # an exact infinity takes the bad primes to its own depth k
-        g = relative_canonical_height(f, D, k, k_padic=1)
+        # an exact infinity takes the bad primes to its own depth k, past
+        # the depth they stop at when infinity is scaled
+        assert k > padic_k_default(f.N, f.d, D.degree)
+        g = relative_canonical_height(f, D, k)
         assert g.mode == "global-exact"
-        assert {e.iterations_used for e in g.per_place.values()} <= {0, k}
+        assert {e.iterations_used for e in g.per_place.values()} == {0, k}
         # oracle: the relative height of the k-th push-forward
         G = D
         for _ in range(k):
@@ -136,6 +140,22 @@ class TestRelativeCanonicalHeight:
         finite = sum(e.value.to_mpf() for v, e in g.per_place.items() if v != "inf")
         assert abs(g.value - scaled.value.to_mpf() - finite) \
             <= g.error + scaled.error.to_mpf() + mp.mpf("1e-9")
+
+    @pytest.mark.parametrize("f, k, mode", [
+        (unicritical_map(2, Q(3, 2)), 12, "exact"),
+        (MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(-3, 2), Q(-3, 2)]), 4, "exact"),
+        (MinCritMap(2, 3, [[Q(1), Q(0)], [Q(0), Q(1)]], [Q(2), Q(-1, 2)]), 2, "exact"),
+        (MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(-3, 2), Q(-3, 2)]), 5, "scaled"),
+    ], ids=["n1c3/2k12", "U2k4", "I3k2", "U2k5"])
+    def test_one_rule_at_infinity(self, f, k, mode):
+        # the height's infinity takes delta_estimate's default mode, and
+        # the same value when both read the exact iterate
+        D = Divisor.point(Q(0)) if f.N == 1 else critical_divisor(f)
+        inf = relative_canonical_height(f, D, k).per_place["inf"]
+        est = delta_estimate(f, D, k, INF)
+        assert inf.mode == est.mode == mode
+        if mode == "exact":
+            assert inf == est
 
     def test_bad_primes_share_one_iterate(self, monkeypatch):
         f = unicritical_map(2, Q(1, 143))
@@ -187,22 +207,27 @@ class TestRelativeCanonicalHeight:
         assert list(g.per_place) == ["inf", "3"]
 
     def test_budget_fallback_warns(self):
-        # the exact iterate overflows the tiny budget, infinity falls back
-        # to scaled
+        # the k=9 iterate is predicted over the tiny budget, so infinity
+        # runs scaled, flagged, without an exact step that overflows, and
+        # agrees with the exact value in the default budget
         f = unicritical_map(2, Q(10))
         g = relative_canonical_height(f, Divisor.point(Q(0)), 9,
                                       bit_budget=256)
         assert g.mode == "per-place"
-        assert any("bit budget" in w for w in g.warnings)
-        assert abs(float(g.value) - float(
-            relative_canonical_height(f, Divisor.point(Q(0)), 9).value)) < 1e-6
+        assert g.per_place["inf"].mode == "scaled"
+        assert any("rounding" in w for w in g.warnings)
+        assert not any("bit budget" in w for w in g.warnings)
+        exact = relative_canonical_height(f, Divisor.point(Q(0)), 9)
+        assert exact.mode == "global-exact"
+        assert abs(float(g.value) - float(exact.value)) < 1e-6
 
     def test_scaled_infinity_is_flagged(self):
-        # one warning when infinity runs scaled (k > 10 for N = 1), none
-        # when it reads the exact iterate; the two agree within their radii
+        # one warning when infinity runs scaled (the k=30 iterate is past
+        # the exact budget), none when it reads the exact iterate; the two
+        # agree within their radii
         f = unicritical_map(2, Q(3, 2))
         D = Divisor.point(Q(0))
-        scaled = relative_canonical_height(f, D, 12)
+        scaled = relative_canonical_height(f, D, 30)
         flags = [w for w in scaled.warnings if "rounding" in w]
         assert scaled.per_place["inf"].mode == "scaled"
         assert flags == ["scaled at inf: the radius covers the truncation "
@@ -213,13 +238,14 @@ class TestRelativeCanonicalHeight:
         assert abs(scaled.value - exact.value) <= scaled.error + exact.error
 
     def test_padic_budget_degrades_depth(self):
-        # a bad prime whose exact iteration cannot reach k_padic in budget
+        # a bad prime whose exact iteration cannot reach its default depth
+        # (8) in budget reads the deepest iterate that fit, and says so
         f = unicritical_map(2, Q(999998, 7))
         g = relative_canonical_height(f, Divisor.point(Q(0)), 12,
                                       bit_budget=2048)
-        assert any("retrying" in w for w in g.warnings)
         est = g.per_place["7"]
         assert est.iterations_used < 8
+        assert f"budget at 7: read at k={est.iterations_used}" in g.warnings
 
     def test_divisor_content_primes_counted(self):
         # D = [1/5]: Delta_5 = log 5 exactly even at a good-reduction place
@@ -257,6 +283,22 @@ class TestCriticalHeight:
                              capture_output=True, text=True, timeout=10)
         assert out.returncode == 0, out.stderr
         assert {"1000000007", "998244353"} <= set(out.stdout.split())
+
+    def test_n3_small_k_answers(self):
+        # N=3 at k=2 fits the exact budget at infinity, so no scaled
+        # refusal; the default k=5 does not fit and is refused at once
+        f = MinCritMap(3, 2, [[Q(int(i == j)) for j in range(3)] for i in range(3)],
+                       [Q(1, 2), Q(-1), Q(3)])
+        t0 = time.perf_counter()
+        g = relative_critical_height(f, 2)
+        assert time.perf_counter() - t0 < 10.0
+        assert g.mode == "global-exact"
+        assert g.per_place["inf"] == delta_estimate(f, critical_divisor(f), 2,
+                                                    INF, mode="exact")
+        t0 = time.perf_counter()
+        with pytest.raises(UsageError):
+            relative_critical_height(f)
+        assert time.perf_counter() - t0 < 10.0
 
     def test_n2_b0_preperiodic(self):
         f = MinCritMap(2, 2, [[Q(2), Q(5)], [Q(1), Q(3)]], [Q(0), Q(0)])
