@@ -14,11 +14,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb, prod
 
 import mpmath as mp
 
-from .forms import (HomogeneousForm, _subst_raw, compose_linear, form_product,
-                    power_pullback, pushforward_terms, slice_form)
+from .forms import (HomogeneousForm, _product_raw, _subst_raw, compose_linear,
+                    form_product, power_pullback, pushforward_terms, slice_form)
 from . import places as _places
 from .places import (LocalLog, Place, gauss_norm_log, local_min,
                      log_plus_int, matrix_lambda, matrix_norm_log)
@@ -88,16 +89,9 @@ class Divisor:
     def __rmul__(self, m: int) -> "Divisor":
         if not isinstance(m, int) or m < 1:
             raise UsageError("divisor multiple must be a positive integer")
-        acc = self.form
-        out = HomogeneousForm.unit(self.num_vars)
-        e = m
-        while e:
-            if e & 1:
-                out = form_product([out, acc])
-            e >>= 1
-            if e:
-                acc = form_product([acc, acc])
-        return Divisor(out)
+        n = self.num_vars
+        return Divisor(HomogeneousForm(n, m * self.degree,
+                                       _product_raw([(self.form.terms, m)], n)))
 
     def __repr__(self):
         return f"Divisor({self.form!r})"
@@ -246,7 +240,9 @@ def _push_raw(f: MinCritMap, terms: dict) -> tuple[dict, Fraction]:
     """One exact step on raw terms: (G', r) with G' the primitive integer
     terms, leading coefficient positive as in canonical_form, of f_* of the
     divisor whose form F has the primitive integer terms given, and r the
-    step scalar, G' = r * G(L^{-1} X) for G = phi_* F.
+    step scalar, G' = r * G(L^{-1} X) for G = phi_* F.  ExactOrbit calls it
+    once per component of a divisor, so F is one component (a coordinate
+    hyperplane's iterate, or a cofactor's), not their product.
 
     Content invariant: G is primitive (Gauss's content lemma over
     Z[zeta_d]: content(G) = content(F)^(d^N) = 1), so the content g of
@@ -286,11 +282,46 @@ def _raw_divisor(terms: dict) -> Divisor:
     return D
 
 
+def _components(terms: dict) -> list[tuple[dict, int]]:
+    """D = sum_i m_i D_i for D the divisor of the canonical integer terms
+    given: the coordinate hyperplanes [X_i = 0], each with its exponent in
+    the monomial factor of the form, then the cofactor when it is not
+    constant.  A form with no monomial factor (a generic one, or one of
+    degree 0) is its own one component.  Each component's terms are
+    canonical: the cofactor has the form's coefficients."""
+    n = len(next(iter(terms)))
+    low = [min(e[i] for e in terms) for i in range(n)]
+    comps = [({tuple(int(i == j) for j in range(n)): 1}, m)
+             for i, m in enumerate(low) if m]
+    rest = {tuple(a - b for a, b in zip(e, low)): c for e, c in terms.items()}
+    if len(rest) > 1 or not comps:
+        comps.append((rest, 1))
+    return comps
+
+
 class ExactOrbit:
     """The exact iterates f_*^j D of a divisor, j = depth, on raw integer
     terms, with the slice-0 valuations carried along.
 
-    terms are the primitive integer terms of the canonical form of
+    D is carried as components with multiplicities, D = sum_i m_i D_i
+    (_components; C_f is [(X_i, d-1)]), and each step pushes every
+    component by itself with _push_raw, since f_* is additive.  A step's
+    cost grows about as (terms)^2 x M(bits), so pushing the degree-1
+    hyperplanes of C_f and multiplying their images is far cheaper than
+    pushing (X_1...X_N)^(d-1).  After each step the canonical components
+    are multiplied into terms, and the step scalar is r = prod r_i^(m_i).
+    Four facts make terms and r bit-identical to one _push_raw of the
+    product form:
+    - the norm is multiplicative: phi_*(FG) = phi_*F * phi_*G;
+    - substitution commutes with products: (FG)(L^{-1} X) is
+      F(L^{-1} X) G(L^{-1} X);
+    - a product of primitive forms is primitive (Gauss's lemma);
+    - the lex-leading coefficient of a product is the product of the
+      lex-leading coefficients, so a product of canonical forms is
+      canonical.
+
+    components are the (terms, multiplicity) pairs of f_*^depth D_i,
+    terms the primitive integer terms of the canonical form of
     f_*^depth D, each step's content taken by _push_raw's seeded gcd, and
     vals maps the prime p of each tracked place at which A is p-integral
     to v_p(content of slice 0 of terms).
@@ -304,22 +335,29 @@ class ExactOrbit:
     content, so lambda_p is read off the iterate, as at infinity.
     """
 
-    __slots__ = ("f", "terms", "depth", "vals")
+    __slots__ = ("f", "components", "terms", "depth", "vals")
 
     def __init__(self, f: MinCritMap, D: Divisor, places=()):
         """The orbit of D, tracking the finite places given."""
         self.f, self.terms, self.depth = f, _raw_terms(D), 0
+        self.components = _components(self.terms)
         den_A = lcm_denominators(x for row in f.A for x in row)
         self.vals = {v.p: _lambda_terms(self.terms, v).r
                      for v in places if den_A % v.p}
 
-    def step(self, bit_budget: int = DEFAULT_BIT_BUDGET) -> None:
-        """Advance one step; on BitBudgetError the orbit is left as it was."""
-        terms, r = _push_raw(self.f, self.terms)
+    def step(self, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
+        """Advance one step and return its scalar r; on BitBudgetError the
+        orbit is left as it was."""
+        f = self.f
+        pushed = [(_push_raw(f, c), m) for c, m in self.components]
+        components = [(g, m) for (g, _), m in pushed]
+        terms = _product_raw(components, f.N + 1)
         _check_budget(terms, bit_budget)
-        dN = self.f.d ** self.f.N
+        r = prod(r_i ** m for (_, r_i), m in pushed)
+        dN = f.d ** f.N
         self.vals = {p: vp(r, p) + dN * v for p, v in self.vals.items()}
-        self.terms, self.depth = terms, self.depth + 1
+        self.components, self.terms, self.depth = components, terms, self.depth + 1
+        return r
 
     def lam(self, v: Place) -> LocalLog:
         """lambda_v of the current iterate."""
@@ -333,12 +371,13 @@ def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUD
 
     Equivalent to compose_linear(power_pushforward(F, d), L_inv) but run on
     raw integer coefficients (the canonical form is integral, and the
-    scalar of the substitution drops out in canonicalization).
+    scalar of the substitution drops out in canonicalization), one
+    ExactOrbit step, so component by component.
     """
     _check_dim(f, D)
-    terms, _ = _push_raw(f, _raw_terms(D))
-    _check_budget(terms, bit_budget)
-    return _raw_divisor(terms)
+    orbit = ExactOrbit(f, D)
+    orbit.step(bit_budget)
+    return _raw_divisor(orbit.terms)
 
 
 def pullback_map(f: MinCritMap, D: Divisor) -> Divisor:
@@ -459,12 +498,14 @@ def exact_fits(f: MinCritMap, terms: dict, steps: int, bit_budget: int) -> bool:
     given is predicted to fit: at most EXACT_STEP_BITS coefficient bits in
     all (terms x bits) and at most bit_budget bits a coefficient.  A step
     multiplies the degree by d^(N-1), so the number of terms by about
-    d^(N(N-1)), and the coefficient bits by d^N.  This is the one rule for
-    exact or scaled at infinity."""
+    d^(N(N-1)), capped at C(deg + N, N), the number of monomials of the
+    iterate's degree deg, and the coefficient bits by d^N.  This is the one
+    rule for exact or scaled at infinity."""
     N, d = f.N, f.d
+    deg = sum(next(iter(terms))) * d ** ((N - 1) * steps)
     bits = max(abs(c).bit_length() for c in terms.values()) * d ** (N * steps)
-    size = len(terms) * d ** (N * (N - 1) * steps) * bits
-    return size <= EXACT_STEP_BITS and bits <= bit_budget
+    count = min(len(terms) * d ** (N * (N - 1) * steps), comb(deg + N, N))
+    return count * bits <= EXACT_STEP_BITS and bits <= bit_budget
 
 
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,

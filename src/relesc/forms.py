@@ -338,6 +338,21 @@ def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> tuple[dict, int]:
     return _unpack(cur, base, n), s
 
 
+def _product_raw(factors: Sequence[tuple[dict, int]], n: int) -> dict:
+    """prod_i F_i^(m_i) on raw terms, for (terms of F_i, m_i) pairs of
+    nonzero forms in n variables and m_i >= 1; the coefficient type is
+    kept.  One factor to the first power is returned as it is."""
+    if len(factors) == 1 and factors[0][1] == 1:
+        return factors[0][0]
+    base = sum(sum(next(iter(terms))) * m for terms, m in factors) + 1
+    acc = None
+    for terms, m in factors:
+        packed = _pack(terms, base)
+        for _ in range(m):
+            acc = packed if acc is None else _packed_mul(acc, packed)
+    return _unpack(acc, base, n)
+
+
 def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
     """Exact product of forms sharing num_vars; degree adds."""
     if not fs:
@@ -348,11 +363,7 @@ def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
     degree = sum(f.degree for f in fs)
     if any(f.is_zero() for f in fs):
         return HomogeneousForm(n, degree, {})
-    base = degree + 1
-    acc = _pack(fs[0].terms, base)
-    for f in fs[1:]:
-        acc = _packed_mul(acc, _pack(f.terms, base))
-    return HomogeneousForm(n, degree, _unpack(acc, base, n))
+    return HomogeneousForm(n, degree, _product_raw([(f.terms, 1) for f in fs], n))
 
 
 def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> HomogeneousForm:

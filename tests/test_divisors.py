@@ -269,6 +269,23 @@ class TestDeltaEstimate:
         assert est.value.to_mpf() == scaled.value.to_mpf()
         assert est.error.to_mpf() == scaled.error.to_mpf()
 
+    def test_term_count_is_capped_by_the_monomials(self):
+        # n2d2-big at suite seed 66008, trial 4: from the 12-term depth-1
+        # iterate of C_f, 12 * 16^2 = 192 terms are predicted at depth 3,
+        # more than the C(16 + 2, 2) = 153 monomials of degree 16; capped,
+        # the k=3 iterate (117 terms, 0.65 Mbit) is predicted to fit
+        from relesc.harness import default_profiles, random_instance
+        prof = next(p for p in default_profiles() if p.name == "n2d2-big")
+        f = random_instance(66008 * 1_000_003 + 4, prof).f
+        C = critical_divisor(f)
+        orbit = ExactOrbit(f, C)
+        orbit.step()
+        assert len(orbit.terms) == 12
+        assert exact_fits(f, orbit.terms, 2, 1 << 20)
+        est = delta_estimate(f, C, 3, INF)
+        assert est.mode == "exact"
+        assert est == delta_estimate(f, C, 3, INF, mode="exact")
+
     def test_crit_lower_bound_example(self):
         # N=2, d=2, A=I, b=(5,7): value >= (1/2)log 7 - c9/2 - constants
         from relesc.places import place_constants, matrix_lambda, matrix_xi
@@ -365,6 +382,29 @@ def _seeded_maps():
     return out
 
 
+def _component_map(N, d):
+    """A map with an integral, non-diagonal A and bad primes 2 and 3."""
+    A = [[Q(int(j in (i, i + 1))) for j in range(N)] for i in range(N)]
+    return MinCritMap(N, d, A, [Q(1, 2), Q(-1, 3), Q(1)][:N])
+
+
+def _component_divisors(f):
+    """(D, multiplicities of its components): C_f, X1^2 X2,
+    X1 (X1 + 2 X2 + 3 X3 ...), a generic line and a form of degree 0."""
+    n = f.N + 1
+
+    def e(*ones):
+        return tuple(sum(1 for i in ones if i == j) for j in range(n))
+
+    return [
+        (critical_divisor(f), [f.d - 1] * f.N),
+        (Divisor(HF(n, 3, {e(0, 0, 1): Q(1)})), [2, 1]),
+        (Divisor(HF(n, 2, {e(0, j): Q(j + 1) for j in range(n)})), [1, 1]),
+        (Divisor(HF(n, 1, {e(j): Q([3, -1, 5, 2][j]) for j in range(n)})), [1]),
+        (Divisor(HF(n, 0, {e(): Q(7)})), [1]),
+    ]
+
+
 class TestExactOrbit:
     """The exact step's seeded content and the carried slice-0 valuations,
     against the full gcd and a direct reading of every iterate."""
@@ -438,6 +478,68 @@ class TestExactOrbit:
                 break
         assert (orbit.terms, orbit.vals, orbit.depth) == before
         assert orbit.lam(P7) == _lambda_terms(orbit.terms, P7)
+
+    @pytest.mark.parametrize("N, d, k", [(1, 2, 4), (1, 3, 3), (2, 2, 3),
+                                         (2, 3, 2), (3, 2, 1), (3, 3, 1)])
+    def test_components_step_like_the_product(self, N, d, k):
+        # the component orbit against one _push_raw of the whole form a step
+        f = _component_map(N, d)
+        places = [Place(p) for p in map_bad_primes(f)]
+        cases = _component_divisors(f)
+        assert [[m for _, m in ExactOrbit(f, D).components] for D, _ in cases] == \
+            [want for _, want in cases]
+        for D, _ in cases:
+            # X1^2 X2 contains H at N = 1, where no valuation is carried
+            tracked = [] if D.contains_hyperplane_at_infinity() else places
+            terms = _raw_terms(D)
+            vals = {v.p: _lambda_terms(terms, v).r for v in tracked}
+            orbit = ExactOrbit(f, D, tracked)
+            assert orbit.vals == vals
+            for _ in range(k):
+                terms, r = _push_raw(f, terms)
+                vals = {p: vp(r, p) + d ** N * v for p, v in vals.items()}
+                assert orbit.step() == r
+                assert orbit.terms == terms
+                assert orbit.vals == vals
+                assert content(terms.values()) == 1 and terms[max(terms)] > 0
+
+    def test_pushes_one_component_at_a_time(self, monkeypatch):
+        # on C_f no _push_raw input is above the degree of one hyperplane's
+        # iterate, d^((N-1) j) at depth j
+        push, degs = divisors._push_raw, []
+
+        def counted(f, terms):
+            degs.append(sum(next(iter(terms))))
+            return push(f, terms)
+
+        monkeypatch.setattr(divisors, "_push_raw", counted)
+        for N, d, k in ((2, 3, 2), (3, 2, 2), (2, 2, 4)):
+            f = _component_map(N, d)
+            orbit = ExactOrbit(f, critical_divisor(f))
+            for j in range(k):
+                degs.clear()
+                orbit.step()
+                assert degs == [d ** ((N - 1) * j)] * N
+
+    def test_failed_step_leaves_a_multi_component_orbit(self):
+        f = _component_map(2, 3)
+        D = critical_divisor(f)
+        orbit = ExactOrbit(f, D, [P2, P3])
+        while True:
+            before = ([(dict(t), m) for t, m in orbit.components],
+                      dict(orbit.terms), dict(orbit.vals), orbit.depth)
+            try:
+                orbit.step(bit_budget=200)
+            except BitBudgetError:
+                break
+        assert len(orbit.components) == 2 and orbit.depth == 1
+        assert (orbit.components, orbit.terms, orbit.vals, orbit.depth) == before
+        orbit.step()
+        fresh = ExactOrbit(f, D, [P2, P3])
+        fresh.step()
+        fresh.step()
+        assert (orbit.components, orbit.terms, orbit.vals) == \
+            (fresh.components, fresh.terms, fresh.vals)
 
     def test_lambda_local_is_the_slice_formula(self):
         # bit-identical to log||F||_v - log||F_0||_v read through Gauss norms
