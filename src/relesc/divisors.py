@@ -34,10 +34,14 @@ SCALED_STEP_BYTES = 1 << 30
 # infinity is exact (exact_fits, asked by delta_estimate(mode=None), the
 # heights and the lemma harness) while the iterate at depth k is predicted
 # to hold at most this many coefficient bits, terms x bits.  Calibration
-# (2 cores, Python 3.11, no gmpy2): the exact steps to N=2, d=2, k=4 and
-# d=3, k=2 make 0.06-0.5 Mbit in 0.01-0.03 s a step; the next ones, d=2
-# step 5 (1.8-7.1 Mbit) and d=3 step 3 (4.5-5.0 Mbit), take 0.3-1.3 s and
-# 3.4 s, where the scaled steps take hundredths.
+# (2 cores, Python 3.11, no gmpy2; ExactOrbit on C_f with A = I or
+# [[1,1],[0,1]] and b = (a/p, +-1/2), p in {53, 59, 61}): the exact steps
+# to N=2, d=2, k=4 and d=3, k=2 make 0.002-0.5 Mbit in 0.001-0.011 s a
+# step; the next ones, d=2 step 5 (3.9-7.2 Mbit) and d=3 step 3
+# (10.5-18.5 Mbit), take 0.008-0.29 s and 0.1-1.4 s, where the scaled
+# steps take hundredths.  Past this size the unipotent steps cost more
+# than scaled ones (U2 at k=5: 0.2-0.6 s exact, 0.1-0.15 s scaled), so the
+# value stays.
 EXACT_STEP_BITS = 1 << 20
 
 

@@ -383,7 +383,8 @@ def _seeded_maps():
 
 
 def _component_map(N, d):
-    """A map with an integral, non-diagonal A and bad primes 2 and 3."""
+    """A map with an integral A, unipotent for N >= 2, and b the first N of
+    (1/2, -1/3, 1)."""
     A = [[Q(int(j in (i, i + 1))) for j in range(N)] for i in range(N)]
     return MinCritMap(N, d, A, [Q(1, 2), Q(-1, 3), Q(1)][:N])
 
