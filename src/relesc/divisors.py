@@ -138,17 +138,9 @@ class MinCritMap:
             raise UsageError("A must have determinant exactly 1")
         L = [row + [b[i]] for i, row in enumerate(A)]
         L.append([Fraction(0)] * N + [Fraction(1)])
-        A_inv = matrix_inverse_exact(A)
-        minus_Ainv_b = [-sum(A_inv[i][j] * b[j] for j in range(N)) for i in range(N)]
-        L_inv = [A_inv[i] + [minus_Ainv_b[i]] for i in range(N)]
-        L_inv.append([Fraction(0)] * N + [Fraction(1)])
-        # exactness guard on the block inverse
-        n = N + 1
-        for i in range(n):
-            for j in range(n):
-                s = sum(L[i][k] * L_inv[k][j] for k in range(n))
-                if s != (1 if i == j else 0):
-                    raise UsageError("L * L_inv is not the identity")
+        # L is block upper triangular, so A^{-1} is the top-left block of L^{-1}
+        L_inv = matrix_inverse_exact(L)
+        A_inv = [row[:N] for row in L_inv[:N]]
         self.N, self.d = N, d
         self.A, self.b, self.L, self.L_inv, self.A_inv = A, b, L, L_inv, A_inv
 
@@ -342,21 +334,25 @@ class ExactOrbit:
     __slots__ = ("f", "components", "terms", "depth", "vals")
 
     def __init__(self, f: MinCritMap, D: Divisor, places=()):
-        """The orbit of D, tracking the finite places given."""
+        """The orbit of D, tracking the finite places given.  A D that
+        contains H tracks none: f_* keeps H, so lambda stays +inf."""
         self.f, self.terms, self.depth = f, _raw_terms(D), 0
         self.components = _components(self.terms)
+        if D.contains_hyperplane_at_infinity():
+            places = ()
         den_A = lcm_denominators(x for row in f.A for x in row)
         self.vals = {v.p: _lambda_terms(self.terms, v).r
                      for v in places if den_A % v.p}
 
-    def step(self, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
-        """Advance one step and return its scalar r; on BitBudgetError the
-        orbit is left as it was."""
+    def step(self) -> Fraction:
+        """Advance one step and return its scalar r; on BitBudgetError (a
+        coefficient over DEFAULT_BIT_BUDGET bits) the orbit is left as it
+        was."""
         f = self.f
         pushed = [(_push_raw(f, c), m) for c, m in self.components]
         components = [(g, m) for (g, _), m in pushed]
         terms = _product_raw(components, f.N + 1)
-        _check_budget(terms, bit_budget)
+        _check_budget(terms)
         r = prod(r_i ** m for (_, r_i), m in pushed)
         dN = f.d ** f.N
         self.vals = {p: vp(r, p) + dN * v for p, v in self.vals.items()}
@@ -370,7 +366,7 @@ class ExactOrbit:
         return _lambda_terms(self.terms, v)
 
 
-def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUDGET) -> Divisor:
+def pushforward_map(f: MinCritMap, D: Divisor) -> Divisor:
     """f_* D = L_* phi_* D with L_* = (L^{-1})^*, exactly.
 
     Equivalent to compose_linear(power_pushforward(F, d), L_inv) but run on
@@ -380,7 +376,7 @@ def pushforward_map(f: MinCritMap, D: Divisor, bit_budget: int = DEFAULT_BIT_BUD
     """
     _check_dim(f, D)
     orbit = ExactOrbit(f, D)
-    orbit.step(bit_budget)
+    orbit.step()
     return _raw_divisor(orbit.terms)
 
 
@@ -414,11 +410,12 @@ def _check_dim(f: MinCritMap, D: Divisor) -> None:
         raise UsageError(f"divisor lives on P^{D.N}, map on P^{f.N}")
 
 
-def _check_budget(terms: dict, bit_budget: int) -> None:
-    """Raise BitBudgetError if an integer coefficient exceeds bit_budget bits."""
-    if max(abs(c).bit_length() for c in terms.values()) > bit_budget:
-        raise BitBudgetError(
-            f"coefficient exceeds {bit_budget} bits; use scaled mode or lower k")
+def _check_budget(terms: dict) -> None:
+    """Raise BitBudgetError if an integer coefficient exceeds
+    DEFAULT_BIT_BUDGET bits."""
+    if max(abs(c).bit_length() for c in terms.values()) > DEFAULT_BIT_BUDGET:
+        raise BitBudgetError(f"coefficient exceeds {DEFAULT_BIT_BUDGET} bits; "
+                             "use scaled mode or lower k")
 
 
 # ---------------------------------------------------------------------------
@@ -497,35 +494,35 @@ def truncated_estimate(f: MinCritMap, deg: int, lam: LocalLog, k: int,
                     iterations_used=k, place=v, mode=mode)
 
 
-def exact_fits(f: MinCritMap, terms: dict, steps: int, bit_budget: int) -> bool:
+def exact_fits(f: MinCritMap, terms: dict, steps: int) -> bool:
     """Whether the exact iterate that many steps past the integer terms
     given is predicted to fit: at most EXACT_STEP_BITS coefficient bits in
-    all (terms x bits) and at most bit_budget bits a coefficient.  A step
-    multiplies the degree by d^(N-1), so the number of terms by about
-    d^(N(N-1)), capped at C(deg + N, N), the number of monomials of the
-    iterate's degree deg, and the coefficient bits by d^N.  This is the one
-    rule for exact or scaled at infinity."""
+    all (terms x bits) and at most DEFAULT_BIT_BUDGET bits a coefficient.
+    A step multiplies the degree by d^(N-1), so the number of terms by
+    about d^(N(N-1)), capped at C(deg + N, N), the number of monomials of
+    the iterate's degree deg, and the coefficient bits by d^N.  This is the
+    one size rule for every exact depth: infinity asks it with the steps
+    left to k, to choose exact or scaled; a bad prime asks it one step
+    ahead, to choose whether to step again."""
     N, d = f.N, f.d
     deg = sum(next(iter(terms))) * d ** ((N - 1) * steps)
     bits = max(abs(c).bit_length() for c in terms.values()) * d ** (N * steps)
     count = min(len(terms) * d ** (N * (N - 1) * steps), comb(deg + N, N))
-    return count * bits <= EXACT_STEP_BITS and bits <= bit_budget
+    return count * bits <= EXACT_STEP_BITS and bits <= DEFAULT_BIT_BUDGET
 
 
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
-                   mode: str | None = None,
-                   bit_budget: int = DEFAULT_BIT_BUDGET) -> Estimate:
+                   mode: str | None = None) -> Estimate:
     """Truncation lambda_v(f_*^k D) / d^{kN} of the relative escape rate,
     with the certified tail bound as error.
 
     mode 'exact' iterates primitive integer forms (any place; aborts past
-    the coefficient bit budget); 'scaled' (archimedean only) iterates
-    renormalized floats, refusing up front (BitBudgetError) when a step is
-    predicted to need more than SCALED_STEP_BYTES.  Default: exact at a
-    finite place; at the archimedean place exact while exact_fits predicts,
-    before each step, that the iterate at depth k fits EXACT_STEP_BITS and
-    the bit budget, else scaled from D.  The Estimate's mode says which one
-    ran.
+    DEFAULT_BIT_BUDGET coefficient bits); 'scaled' (archimedean only)
+    iterates renormalized floats, refusing up front (BitBudgetError) when a
+    step is predicted to need more than SCALED_STEP_BYTES.  Default: exact
+    at a finite place; at the archimedean place exact while exact_fits
+    predicts, before each step, that the iterate at depth k fits, else
+    scaled from D.  The Estimate's mode says which one ran.
     """
     _check_dim(f, D)
     if k < 0:
@@ -541,9 +538,9 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
         orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
         for _ in range(k):
             if (mode is None and v.is_arch
-                    and not exact_fits(f, orbit.terms, k - orbit.depth, bit_budget)):
+                    and not exact_fits(f, orbit.terms, k - orbit.depth)):
                 break
-            orbit.step(bit_budget)
+            orbit.step()
         else:
             return truncated_estimate(f, D.degree, orbit.lam(v), k)
     if N >= 3:

@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .rational import (InternalError, UsageError, det_exact, parse_rational,
+from .rational import (InternalError, UsageError, parse_rational,
                        factorization, format_rational)
 
 ExpTuple = tuple[int, ...]
@@ -367,7 +367,8 @@ def form_product(fs: Sequence[HomogeneousForm]) -> HomogeneousForm:
 
 
 def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> HomogeneousForm:
-    """F(M X), exactly.  M must be an invertible (num_vars x num_vars) matrix.
+    """F(M X), exactly.  M must be an invertible (num_vars x num_vars) matrix;
+    the elimination of a singular one raises UsageError.
 
     Evaluated by swaps, scalings and Taylor shifts (_subst_raw), so the
     cost stays near (number of terms) x (degree) per shear instead of a
@@ -376,9 +377,6 @@ def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> Homog
     n = F.num_vars
     if len(M) != n or any(len(row) != n for row in M):
         raise UsageError(f"matrix must be {n}x{n}")
-    M = [[Fraction(x) for x in row] for row in M]
-    if det_exact(M) == 0:
-        raise UsageError("compose_linear: singular matrix")
     if F.is_zero():
         return F
     terms, s = _subst_raw(F.terms, M, n)

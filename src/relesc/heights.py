@@ -16,37 +16,26 @@ from math import factorial
 
 import mpmath as mp
 
-from .divisors import (DEFAULT_BIT_BUDGET, Divisor, Estimate, ExactOrbit,
-                       MinCritMap, critical_divisor, delta_estimate,
-                       exact_fits, lambda_local, scaled_depth, slice_form,
+from .divisors import (Divisor, Estimate, ExactOrbit, MinCritMap, _check_dim,
+                       critical_divisor, delta_estimate, exact_fits,
+                       lambda_local, scaled_depth, slice_form,
                        truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
                        lcm_denominators, prime_factors, primes_upto, vp)
 
-PADIC_K_MAX = {1: 8, 2: 5}
-PADIC_DEGREE_CAP = 32
+# a bad prime steps while exact_fits admits the next iterate, and at most
+# this deep.  For N >= 2 exact_fits always stops first, but an N=1 orbit
+# stays small: the size rule alone would take the critical height of
+# z^2 - 17/(999983 * 1000003) from depth 8 (0.8 ms of orbit) to depth 14
+# (13 ms; 2 cores, Python 3.11), for a tail that is O(log p) * d^-k
+PADIC_K_MAX = 8
 
 
 def default_k(N: int) -> int:
     """Truncation depth used when none is given: 20 for N=1, 5 for N >= 2."""
     return 20 if N == 1 else 5
-
-
-def padic_k_default(N: int, d: int, deg: int) -> int:
-    """Exact p-adic truncation depth: capped at 8 for N=1 and 5 for N=2,
-    further limited so the iterated form degree deg*d^(k(N-1)) stays at or
-    below PADIC_DEGREE_CAP (integer-coefficient bit growth makes deeper
-    exact iteration at N=2 disproportionately expensive while the
-    non-archimedean tails are already O(log p) * d^-k)."""
-    cap = PADIC_K_MAX.get(N, 4)
-    if N == 1:
-        return cap
-    k = 1
-    while k < cap and deg * d ** ((k + 1) * (N - 1)) <= PADIC_DEGREE_CAP:
-        k += 1
-    return k
 
 
 def _log_int(n: int):
@@ -184,21 +173,22 @@ def auto_places(f: MinCritMap, D: Divisor, bad: list[int]) -> list[Place]:
 
 
 def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
-                              bit_budget: int = DEFAULT_BIT_BUDGET,
                               places: list[Place] | None = None) -> GlobalEstimate:
     """hat{h}_f(D) - hat{h}_{f|H}(D|_H) = sum_v Delta_{f,v}(D) over places
     (default auto_places), truncated, with the certified tails as error.
 
-    D is pushed exactly once.  Infinity is exact by delta_estimate's rule:
-    before each step divisors.exact_fits must predict that the iterate at
-    depth k fits.  While it does the orbit steps to k; once it declines,
-    the orbit stops at min(k, padic_k_default) for the bad primes (or where
-    it already is, if deeper).  Infinity, if exact, and the bad primes read
-    lambda_v off that iterate, or off the deepest one within the bit
-    budget, where infinity falls back to scaled at the deepest depth <= k
-    predicted to fit.  At every other place Delta_v(D) = lambda_v(D)
-    exactly.  A scaled infinity adds a warning: its radius does not cover
-    float rounding.
+    D is pushed exactly once, and divisors.exact_fits is the one size rule
+    for its depth.  Infinity is exact by delta_estimate's rule: before each
+    step exact_fits must predict that the iterate at depth k fits.  While
+    it does the orbit steps to k; once it declines, the orbit steps on for
+    the bad primes while the depth is below min(k, PADIC_K_MAX) and
+    exact_fits admits the next iterate.  Infinity, if exact, and the bad
+    primes read lambda_v off that iterate, or off the last one within the
+    bit budget, where infinity falls back to scaled at the deepest depth
+    <= k predicted to fit.  At every other place Delta_v(D) = lambda_v(D)
+    exactly.  A place read below the depth it was asked for (k at
+    infinity, min(k, PADIC_K_MAX) at a bad prime) adds a warning, and so
+    does a scaled infinity: its radius does not cover float rounding.
 
     The iterate is an ExactOrbit: each step's content is a gcd seeded with
     s * den(L)^deg, a small multiple of it (_push_raw), and at each bad
@@ -207,12 +197,12 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     v log p is exact without a valuation of a large coefficient.  Where A
     is not p-integral, and at infinity, lambda is read off the iterate.
     """
+    _check_dim(f, D)
     if D.contains_hyperplane_at_infinity():
         raise DomainError("relative canonical height undefined for D containing H")
     N, d = f.N, f.d
     if k is None:
         k = default_k(N)
-    k_bad = min(k, padic_k_default(N, d, D.degree))
     bad = map_bad_primes(f)
     if places is None:
         places = auto_places(f, D, bad)
@@ -221,38 +211,37 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     warnings: list[str] = []
     orbit = ExactOrbit(f, D, bad_places)
     while orbit.depth < k:
-        exact_inf = exact_inf and exact_fits(f, orbit.terms, k - orbit.depth,
-                                             bit_budget)
-        if not exact_inf and orbit.depth >= (k_bad if bad_places else 0):
+        exact_inf = exact_inf and exact_fits(f, orbit.terms, k - orbit.depth)
+        if not (exact_inf or bad_places and orbit.depth < PADIC_K_MAX
+                and exact_fits(f, orbit.terms, 1)):
             break
         try:
-            orbit.step(bit_budget)
+            orbit.step()
         except BitBudgetError as exc:
             warnings.append(f"exact iterate stops at k={orbit.depth}, over bit budget: {exc}")
             break
-    depth = orbit.depth
-    exact_inf = exact_inf and depth == k
+    exact_inf = exact_inf and orbit.depth == k
 
     value = mp.mpf(0)
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}
     for v in places:
+        asked = k if v.is_arch else min(k, PADIC_K_MAX) if v in bad_places else 0
         if (v.is_arch and exact_inf) or v in bad_places:
-            if depth < k_bad:
-                warnings.append(f"budget at {v}: read at k={depth}")
-            est = truncated_estimate(f, D.degree, orbit.lam(v), depth)
+            est = truncated_estimate(f, D.degree, orbit.lam(v), orbit.depth)
         elif v.is_arch:
-            k_v = scaled_depth(N, d, D.degree, k)
-            if k_v < k:
-                warnings.append(f"budget at {v}: read at k={k_v}")
-            est = delta_estimate(f, D, k_v, v, mode="scaled")
-            warnings.append(f"scaled at {v}: the radius covers the truncation "
-                            "tail, not float rounding")
+            est = delta_estimate(f, D, scaled_depth(N, d, D.degree, k), v,
+                                 mode="scaled")
         else:
             # L is v-integral with unit norm: the per-step constant is 0,
             # so Delta_v(D) = lambda_v(D) exactly
             est = Estimate(value=lambda_local(D, v), error=LocalLog.zero(v),
                            iterations_used=0, place=v, mode="exact")
+        if est.iterations_used < asked:
+            warnings.append(f"budget at {v}: read at k={est.iterations_used}")
+        if est.mode == "scaled":
+            warnings.append(f"scaled at {v}: the radius covers the truncation "
+                            "tail, not float rounding")
         per_place[repr(v)] = est
         value += est.value.to_mpf()
         err += est.error.to_mpf()

@@ -55,7 +55,6 @@ class Place:
     """A place of Q: archimedean (p is None) or the p-adic place."""
 
     p: int | None = None
-    weight: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.p is not None:

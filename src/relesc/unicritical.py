@@ -19,6 +19,10 @@ from .divisors import (Divisor, Estimate, delta_estimate, delta_tail_bound,
 from .places import INF, LocalLog, Place
 from .rational import UsageError, vp
 
+# mandelbrot_member gives up (undecided) once z has a numerator or
+# denominator over this many bits
+MEMBER_BIT_BUDGET = 1 << 14
+
 
 @dataclass(frozen=True)
 class UnicriticalMap:
@@ -75,14 +79,13 @@ class MandelVerdict:
     cycle_length: int | None = None
 
 
-def mandelbrot_member(m: UnicriticalMap, max_iter: int = 1000,
-                      bit_budget: int = 1 << 14) -> MandelVerdict:
+def mandelbrot_member(m: UnicriticalMap, max_iter: int = 1000) -> MandelVerdict:
     """Exact membership test for the critical orbit of z^d + c, c rational.
 
     'inside' only on exact cycle detection, 'escaped' once |z| exceeds the
     escape radius; everything else is 'undecided'.  Non-integral bounded
     orbits square their denominators every step, so the iteration also
-    stops (undecided) once coefficients outgrow bit_budget.
+    stops (undecided) once coefficients outgrow MEMBER_BIT_BUDGET.
     """
     R = m.escape_radius()
     z = Fraction(0)
@@ -94,7 +97,8 @@ def mandelbrot_member(m: UnicriticalMap, max_iter: int = 1000,
         if z in seen:
             return MandelVerdict("inside", step=step,
                                  cycle_length=step - seen[z])
-        if max(z.numerator.bit_length(), z.denominator.bit_length()) > bit_budget:
+        if max(z.numerator.bit_length(),
+               z.denominator.bit_length()) > MEMBER_BIT_BUDGET:
             return MandelVerdict("undecided", step=step)
         seen[z] = step
     return MandelVerdict("undecided")

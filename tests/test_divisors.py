@@ -281,7 +281,7 @@ class TestDeltaEstimate:
         orbit = ExactOrbit(f, C)
         orbit.step()
         assert len(orbit.terms) == 12
-        assert exact_fits(f, orbit.terms, 2, 1 << 20)
+        assert exact_fits(f, orbit.terms, 2)
         est = delta_estimate(f, C, 3, INF)
         assert est.mode == "exact"
         assert est == delta_estimate(f, C, 3, INF, mode="exact")
@@ -307,11 +307,11 @@ class TestDeltaEstimate:
         with pytest.raises(UsageError):
             delta_estimate(f, Divisor.point(Q(0)), 3, P2, mode="scaled")
 
-    def test_bit_budget(self):
+    def test_bit_budget(self, monkeypatch):
         f = unicritical_map(2, Q(12345, 7))
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 64)
         with pytest.raises(BitBudgetError):
-            delta_estimate(f, Divisor.point(Q(0)), 12, P5, mode="exact",
-                           bit_budget=64)
+            delta_estimate(f, Divisor.point(Q(0)), 12, P5, mode="exact")
 
     def test_error_decreases_and_brackets(self):
         f = unicritical_map(2, Q(3))
@@ -418,7 +418,7 @@ class TestExactOrbit:
         for terms in (_raw_terms(critical_divisor(f)), line):
             # at least one step, then while the next iterate stays small
             for steps in range(5):
-                if steps and not exact_fits(f, terms, 1, 1 << 20):
+                if steps and not exact_fits(f, terms, 1):
                     break
                 G = pushforward_terms(terms, f.d, n)
                 assert content(G.values()) == 1  # Gauss's content lemma
@@ -468,13 +468,14 @@ class TestExactOrbit:
         assert orbit.lam(P2) == LocalLog.padic(P2, Q(0))
         assert delta_estimate(f, critical_divisor(f), 3, P2).value.r == 0
 
-    def test_failed_step_leaves_the_orbit(self):
+    def test_failed_step_leaves_the_orbit(self, monkeypatch):
         P7 = Place(7)
         orbit = ExactOrbit(unicritical_map(2, Q(12345, 7)), Divisor.point(Q(0)), [P7])
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 256)
         while True:
             before = (orbit.terms, dict(orbit.vals), orbit.depth)
             try:
-                orbit.step(bit_budget=256)
+                orbit.step()
             except BitBudgetError:
                 break
         assert (orbit.terms, orbit.vals, orbit.depth) == before
@@ -522,17 +523,19 @@ class TestExactOrbit:
                 orbit.step()
                 assert degs == [d ** ((N - 1) * j)] * N
 
-    def test_failed_step_leaves_a_multi_component_orbit(self):
+    def test_failed_step_leaves_a_multi_component_orbit(self, monkeypatch):
         f = _component_map(2, 3)
         D = critical_divisor(f)
         orbit = ExactOrbit(f, D, [P2, P3])
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 200)
         while True:
             before = ([(dict(t), m) for t, m in orbit.components],
                       dict(orbit.terms), dict(orbit.vals), orbit.depth)
             try:
-                orbit.step(bit_budget=200)
+                orbit.step()
             except BitBudgetError:
                 break
+        monkeypatch.undo()
         assert len(orbit.components) == 2 and orbit.depth == 1
         assert (orbit.components, orbit.terms, orbit.vals, orbit.depth) == before
         orbit.step()
@@ -541,6 +544,18 @@ class TestExactOrbit:
         fresh.step()
         assert (orbit.components, orbit.terms, orbit.vals) == \
             (fresh.components, fresh.terms, fresh.vals)
+
+    def test_divisor_containing_H_tracks_no_place(self):
+        # f_* keeps H, so lambda stays +inf at every depth and no valuation
+        # is carried
+        f = unicritical_map(2, Q(1, 3))
+        D = Divisor(HF(2, 2, {(1, 1): Q(1)}))
+        orbit = ExactOrbit(f, D, [P3])
+        assert orbit.vals == {}
+        for _ in range(2):
+            orbit.step()
+            assert orbit.lam(P3).kind == orbit.lam(INF).kind == "pos"
+        assert orbit.terms == _raw_terms(pushforward_map(f, pushforward_map(f, D)))
 
     def test_lambda_local_is_the_slice_formula(self):
         # bit-identical to log||F||_v - log||F_0||_v read through Gauss norms

@@ -11,15 +11,15 @@ import pytest
 
 import relesc
 from relesc import divisors
-from relesc.divisors import (Divisor, MinCritMap, critical_divisor,
-                             delta_estimate, lambda_local, pushforward_map,
-                             unicritical_map)
+from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, critical_divisor,
+                             delta_estimate, exact_fits, lambda_local,
+                             pushforward_map, unicritical_map)
 from relesc.forms import HomogeneousForm as HF
-from relesc.heights import (good_reduction, height_divisor, main_bound_constants,
-                            matrix_height, padic_k_default, point_height,
-                            relative_canonical_height, relative_critical_height,
-                            relative_height, relative_height_by_places,
-                            thm_main_bounds)
+from relesc.heights import (PADIC_K_MAX, good_reduction, height_divisor,
+                            main_bound_constants, map_bad_primes, matrix_height,
+                            point_height, relative_canonical_height,
+                            relative_critical_height, relative_height,
+                            relative_height_by_places, thm_main_bounds)
 from relesc.places import INF, Place
 from relesc.rational import DomainError, UsageError, vp, vp_int
 
@@ -116,16 +116,19 @@ class TestRelativeCanonicalHeight:
         assert near(sum(mp.mpf(e["value"]) for e in parts.values()), g.value)
         assert near(sum(mp.mpf(e["error"]) for e in parts.values()), g.error)
 
-    @pytest.mark.parametrize("f, D, k", [
-        (unicritical_map(2, Q(5, 3)), Divisor.point(Q(2)), 10),
+    @pytest.mark.parametrize("f, D, k, alone", [
+        (unicritical_map(2, Q(5, 3)), Divisor.point(Q(2)), 10, PADIC_K_MAX),
         (MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(1, 2), Q(3)]),
          Divisor(HF(3, 5, {(5, 0, 0): Q(1), (0, 5, 0): Q(1), (1, 2, 2): Q(1),
-                           (0, 0, 5): Q(4)})), 3),
+                           (0, 0, 5): Q(4)})), 3, 3),
     ], ids=["n1", "n2"])
-    def test_exact_infinity_reads_one_iterate(self, f, D, k):
-        # an exact infinity takes the bad primes to its own depth k, past
-        # the depth they stop at when infinity is scaled
-        assert k > padic_k_default(f.N, f.d, D.degree)
+    def test_exact_infinity_reads_one_iterate(self, f, D, k, alone):
+        # an exact infinity takes the bad primes to its own depth k; without
+        # infinity they stop at PADIC_K_MAX (n1), or reach k too, since an
+        # exact infinity means exact_fits admitted every step (n2)
+        primes = relative_canonical_height(
+            f, D, k, places=[Place(p) for p in map_bad_primes(f)])
+        assert {e.iterations_used for e in primes.per_place.values()} == {alone}
         g = relative_canonical_height(f, D, k)
         assert g.mode == "global-exact"
         assert {e.iterations_used for e in g.per_place.values()} == {0, k}
@@ -206,13 +209,14 @@ class TestRelativeCanonicalHeight:
         assert g.mode == "per-place"
         assert list(g.per_place) == ["inf", "3"]
 
-    def test_budget_fallback_warns(self):
+    def test_budget_fallback_warns(self, monkeypatch):
         # the k=9 iterate is predicted over the tiny budget, so infinity
         # runs scaled, flagged, without an exact step that overflows, and
         # agrees with the exact value in the default budget
         f = unicritical_map(2, Q(10))
-        g = relative_canonical_height(f, Divisor.point(Q(0)), 9,
-                                      bit_budget=256)
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 256)
+        g = relative_canonical_height(f, Divisor.point(Q(0)), 9)
+        monkeypatch.undo()
         assert g.mode == "per-place"
         assert g.per_place["inf"].mode == "scaled"
         assert any("rounding" in w for w in g.warnings)
@@ -237,15 +241,57 @@ class TestRelativeCanonicalHeight:
         assert not any("rounding" in w for w in exact.warnings)
         assert abs(scaled.value - exact.value) <= scaled.error + exact.error
 
-    def test_padic_budget_degrades_depth(self):
+    def test_padic_budget_degrades_depth(self, monkeypatch):
         # a bad prime whose exact iteration cannot reach its default depth
         # (8) in budget reads the deepest iterate that fit, and says so
         f = unicritical_map(2, Q(999998, 7))
-        g = relative_canonical_height(f, Divisor.point(Q(0)), 12,
-                                      bit_budget=2048)
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 2048)
+        g = relative_canonical_height(f, Divisor.point(Q(0)), 12)
         est = g.per_place["7"]
         assert est.iterations_used < 8
         assert f"budget at 7: read at k={est.iterations_used}" in g.warnings
+
+    def test_bad_prime_steps_while_exact_fits(self):
+        # N=2, d=3: the depth-2 iterate fits EXACT_STEP_BITS and the
+        # depth-3 one does not, so p=2 is read at depth 2 (radius 0.616
+        # nats; 1.848 at depth 1), below the depth asked for, and says so
+        f = MinCritMap(2, 3, [[1, 0], [0, 1]], [2, Q(-1, 2)])
+        g = relative_critical_height(f, places=[Place(2)])
+        est = g.per_place["2"]
+        assert est.iterations_used == 2
+        assert abs(est.error_float() - 0.6161) < 1e-3
+        assert g.warnings == ["budget at 2: read at k=2"]
+        orbit = ExactOrbit(f, critical_divisor(f))
+        orbit.step()
+        assert exact_fits(f, orbit.terms, 1)
+        orbit.step()
+        assert not exact_fits(f, orbit.terms, 1)
+
+    def test_bench_like_n2_bad_primes_keep_depth_4(self):
+        # N=2, d=2, A in {I, [[1,1],[0,1]]}, b = (a/11, c/13): exact_fits
+        # stops both primes at depth 4 at the default k=5
+        for A, a, c in (([[1, 0], [0, 1]], -2, -23), ([[1, 0], [0, 1]], 12, -6),
+                        ([[1, 1], [0, 1]], -8, -17), ([[1, 1], [0, 1]], 15, 19)):
+            g = relative_critical_height(MinCritMap(2, 2, A, [Q(a, 11), Q(c, 13)]))
+            assert g.per_place["11"].iterations_used == 4
+            assert g.per_place["13"].iterations_used == 4
+
+    def test_n1_bad_primes_stop_at_padic_k_max(self):
+        # the size rule alone would read these primes at depth 14
+        f = unicritical_map(2, Q(-17, 999983 * 1000003))
+        g = relative_critical_height(f)
+        assert PADIC_K_MAX == 8
+        for p in (999983, 1000003):
+            assert g.per_place[str(p)].iterations_used == 8
+        orbit = ExactOrbit(f, critical_divisor(f))
+        for _ in range(8):
+            orbit.step()
+        assert exact_fits(f, orbit.terms, 1)
+
+    def test_divisor_of_another_dimension_refused(self):
+        f = MinCritMap(2, 2, [[1, 0], [0, 1]], [Q(1, 3), Q(1)])
+        with pytest.raises(UsageError):
+            relative_canonical_height(f, Divisor.point(Q(0)), 3)
 
     def test_divisor_content_primes_counted(self):
         # D = [1/5]: Delta_5 = log 5 exactly even at a good-reduction place
