@@ -16,7 +16,7 @@ from relesc import (MinCritMap, good_reduction, relative_critical_height,
 for c in (Q(0), Q(-1), Q(3), Q(1, 2)):
     f = unicritical_map(2, c)
     g = relative_critical_height(f)
-    places = ",".join(repr(p) for p in g.places_iterated)
+    places = ",".join(g.per_place)
     print(f"c={str(c):>4}: height = {float(g.value):.8f} +- {float(g.error):.1e}"
           f"   (places {places})")
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .divisors import Divisor, MinCritMap, critical_divisor, delta_estimate
 from .harness import LEMMA_IDS, Profile, run_suite
-from .heights import good_reduction, relative_critical_height, thm_main_bounds
+from .heights import (default_k, good_reduction, relative_critical_height,
+                      thm_main_bounds)
 from .places import INF, Place, set_precision
 from .rational import BitBudgetError, DomainError, UsageError
 from .unicritical import UnicriticalMap, is_pcf
@@ -57,14 +58,13 @@ def cmd_escape_rate(args) -> int:
     f = MinCritMap.from_json_dict(_load_json(args.map))
     D = Divisor.from_json_dict(_load_json(args.divisor))
     v = Place.parse(args.place)
-    mode = args.mode
-    est = delta_estimate(f, D, args.iters, v, mode=mode)
+    k = default_k(f.N) if args.iters is None else args.iters
+    est = delta_estimate(f, D, k, v, mode="exact" if args.exact else None)
     out = {
         "config": {
             "command": "escape-rate", "map": f.to_json_dict(),
             "divisor": D.to_json_dict(), "place": repr(v),
-            "iters": args.iters, "mode": est.mode,
-            "precision": mp.mp.dps,
+            "iters": k, "exact": args.exact, "precision": mp.mp.dps,
         },
         "estimate": est.to_json_dict(args.digits),
     }
@@ -87,7 +87,6 @@ def cmd_critical_height(args) -> int:
         "config": {
             "command": "critical-height", "map": f.to_json_dict(),
             "iters": rch.k, "places": args.places, "precision": mp.mp.dps,
-            "mode": rch.mode,
         },
         "value": _fmt(rep["value"], args.digits),
         "error": _fmt(rep["error"], args.digits),
@@ -225,6 +224,9 @@ def cmd_mandel_slice(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     threshold = args.threshold
+    max_iter = args.max_iter
+    if max_iter is None:  # the library's N=2 depth, or N=1 float iterations
+        max_iter = default_k(2) if args.map else 50
     if args.map:
         # N=2 real (b1, b2) grid with A fixed from file
         spec = _load_json(args.map)
@@ -235,7 +237,7 @@ def cmd_mandel_slice(args) -> int:
         axis = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
         # cells in row-major order: b2 picks the row, b1 the column
         cells = (repeat(spec["A"]), np.tile(axis, len(axis)),
-                 np.repeat(axis, len(axis)), repeat(d), repeat(args.max_iter))
+                 np.repeat(axis, len(axis)), repeat(d), repeat(max_iter))
         workers = min(args.threads, len(axis) ** 2)
         if workers > 1:
             # imported here, as the pool's modules add ~1 MB to the peak RSS
@@ -256,14 +258,14 @@ def cmd_mandel_slice(args) -> int:
         re0, re1, imx, steps = _parse_grid(args.grid)
         res = np.linspace(re0, re1, steps) if steps > 1 else np.array([re0])
         ims = np.linspace(-imx, imx, steps) if steps > 1 else np.array([imx])
-        vals = _escape_values(d, res[None, :] + 1j * ims[:, None], args.max_iter)
+        vals = _escape_values(d, res[None, :] + 1j * ims[:, None], max_iter)
         modes = {"exact": 0, "scaled": int(vals.size)}
     csv_path = args.out + ".csv"
     pgm_path = args.out + ".pgm"
     with open(csv_path, "w") as fh:
         fh.write("# " + json.dumps({
             "command": "mandel-slice", "d": d, "grid": args.grid,
-            "max_iter": args.max_iter, "threshold": threshold,
+            "max_iter": max_iter, "threshold": threshold,
             "map": args.map or None, "modes": modes}, sort_keys=True) + "\n")
         for row in vals:
             fh.write(",".join("%.12g" % x for x in row) + "\n")
@@ -362,12 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--divisor", required=True)
     p.add_argument("--place", default="inf")
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--mode", choices=["exact", "scaled"], default=None,
-                   help="default: exact at a prime; at inf exact while the "
-                        "iterate at depth --iters is predicted to fit the "
-                        "exact step budget, else scaled (the output echoes "
-                        "the mode)")
+    p.add_argument("--iters", type=int, default=None,
+                   help="truncation depth (default 20 for N = 1, 5 for N >= 2)")
+    p.add_argument("--exact", action="store_true",
+                   help="iterate exactly to --iters or refuse (default: the "
+                        "library's rule; the estimate's mode says which ran)")
     p.add_argument("--digits", type=int, default=17)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_escape_rate)
@@ -399,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mandel-slice", help="escape-rate grid render (CSV+PGM)")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--grid", required=True, help="re0:re1:im_extent:steps")
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="truncation depth (default 5 with --map, else 50 "
+                        "float iterations)")
     p.add_argument("--map", default=None, help="N=2: map JSON fixing A")
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--threads", type=int, default=1,

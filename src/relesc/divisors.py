@@ -29,19 +29,15 @@ from .rational import (BitBudgetError, DomainError, UsageError, content,
 from .scaled import SlicedForm, step_bytes
 
 DEFAULT_BIT_BUDGET = 1 << 20
-# scaled mode refuses a step predicted to need more memory than this
+# the float orbit refuses a step predicted to need more memory than this
 SCALED_STEP_BYTES = 1 << 30
-# infinity is exact (exact_fits, asked by delta_estimate(mode=None), the
-# heights and the lemma harness) while the iterate at depth k is predicted
-# to hold at most this many coefficient bits, terms x bits.  Calibration
-# (2 cores, Python 3.11, no gmpy2; ExactOrbit on C_f with A = I or
-# [[1,1],[0,1]] and b = (a/p, +-1/2), p in {53, 59, 61}): the exact steps
-# to N=2, d=2, k=4 and d=3, k=2 make 0.002-0.5 Mbit in 0.001-0.011 s a
-# step; the next ones, d=2 step 5 (3.9-7.2 Mbit) and d=3 step 3
-# (10.5-18.5 Mbit), take 0.008-0.29 s and 0.1-1.4 s, where the scaled
-# steps take hundredths.  Past this size the unipotent steps cost more
-# than scaled ones (U2 at k=5: 0.2-0.6 s exact, 0.1-0.15 s scaled), so the
-# value stays.
+# exact_fits' bound on an iterate's coefficient bits, terms x bits.
+# Re-measured past it on C_f (2-core Xeon, Python 3.11, no gmpy2; A = I or
+# [[1,1],[0,1]], b in {(1/2, -1/3), (5/11, -7/13), (2, -1/2)}): N=2, d=2,
+# k=5 takes 0.01-0.42 s exact and 0.12-0.20 s on the float orbit, which
+# agrees to 2e-10; N=2, d=3, k=3 takes 0.03-2.3 s exact and 0.74-1.08 s
+# float, which is 1e-2 to 1.2e-1 off.  The value stays: moving it moves
+# the benchmark digests that read such depths.
 EXACT_STEP_BITS = 1 << 20
 
 
@@ -415,7 +411,7 @@ def _check_budget(terms: dict) -> None:
     DEFAULT_BIT_BUDGET bits."""
     if max(abs(c).bit_length() for c in terms.values()) > DEFAULT_BIT_BUDGET:
         raise BitBudgetError(f"coefficient exceeds {DEFAULT_BIT_BUDGET} bits; "
-                             "use scaled mode or lower k")
+                             "lower k")
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +492,23 @@ def truncated_estimate(f: MinCritMap, deg: int, lam: LocalLog, k: int,
 
 def exact_fits(f: MinCritMap, terms: dict, steps: int) -> bool:
     """Whether the exact iterate that many steps past the integer terms
-    given is predicted to fit: at most EXACT_STEP_BITS coefficient bits in
-    all (terms x bits) and at most DEFAULT_BIT_BUDGET bits a coefficient.
-    A step multiplies the degree by d^(N-1), so the number of terms by
-    about d^(N(N-1)), capped at C(deg + N, N), the number of monomials of
-    the iterate's degree deg, and the coefficient bits by d^N.  This is the
-    one size rule for every exact depth: infinity asks it with the steps
-    left to k, to choose exact or scaled; a bad prime asks it one step
-    ahead, to choose whether to step again."""
+    given is predicted to hold at most EXACT_STEP_BITS coefficient bits in
+    all (terms x bits).  A step multiplies the degree by d^(N-1), so the
+    number of terms by about d^(N(N-1)), capped at C(deg + N, N), the
+    number of monomials of the iterate's degree deg, and the coefficient
+    bits by d^N.  This is the one size rule for every exact depth:
+    infinity asks it about _inf_steps_ahead, a bad prime about one step."""
     N, d = f.N, f.d
     deg = sum(next(iter(terms))) * d ** ((N - 1) * steps)
     bits = max(abs(c).bit_length() for c in terms.values()) * d ** (N * steps)
     count = min(len(terms) * d ** (N * (N - 1) * steps), comb(deg + N, N))
-    return count * bits <= EXACT_STEP_BITS and bits <= DEFAULT_BIT_BUDGET
+    return count * bits <= EXACT_STEP_BITS
+
+
+def _inf_steps_ahead(f: MinCritMap, depth: int, k: int) -> int:
+    """The steps infinity asks exact_fits about: those left to k where the
+    float orbit can take over (N <= 2), else the next one."""
+    return k - depth if f.N <= 2 else 1
 
 
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
@@ -516,49 +516,49 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     """Truncation lambda_v(f_*^k D) / d^{kN} of the relative escape rate,
     with the certified tail bound as error.
 
-    mode 'exact' iterates primitive integer forms (any place; aborts past
-    DEFAULT_BIT_BUDGET coefficient bits); 'scaled' (archimedean only)
-    iterates renormalized floats, refusing up front (BitBudgetError) when a
-    step is predicted to need more than SCALED_STEP_BYTES.  Default: exact
-    at a finite place; at the archimedean place exact while exact_fits
-    predicts, before each step, that the iterate at depth k fits, else
-    scaled from D.  The Estimate's mode says which one ran.
+    mode 'exact' iterates primitive integer forms to k at any place,
+    raising BitBudgetError past DEFAULT_BIT_BUDGET coefficient bits.  The
+    default, None, is that at a finite place; at infinity it is exact while
+    exact_fits admits _inf_steps_ahead, then the float orbit from D for
+    N <= 2 (_scaled_estimate), else BitBudgetError with the depth the exact
+    orbit reaches.  The Estimate's mode says which orbit ran.
     """
     _check_dim(f, D)
     if k < 0:
         raise UsageError("k must be >= 0")
     if D.contains_hyperplane_at_infinity():
         raise DomainError("Delta is undefined for divisors containing H")
-    if mode not in (None, "scaled", "exact"):
+    if mode not in (None, "exact"):
         raise UsageError(f"unknown mode {mode!r}")
-    if mode == "scaled" and not v.is_arch:
-        raise UsageError("scaled mode is only valid at the archimedean place")
-    d, N = f.d, f.N
-    if mode != "scaled":
-        orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
-        for _ in range(k):
-            if (mode is None and v.is_arch
-                    and not exact_fits(f, orbit.terms, k - orbit.depth)):
-                break
-            orbit.step()
-        else:
-            return truncated_estimate(f, D.degree, orbit.lam(v), k)
-    if N >= 3:
-        # a cost refusal: SlicedForm takes any N, but this is ~1e10 floats
-        # for the critical divisor at N=3, d=2, k=5
-        raise UsageError("scaled mode is refused for N >= 3: the k-th iterate "
-                         "holds about (deg * d^(k(N-1)))^N floats")
-    j = scaled_depth(N, d, D.degree, k)
+    ruled = mode is None and v.is_arch
+    orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
+    while orbit.depth < k:
+        if ruled and not exact_fits(f, orbit.terms, _inf_steps_ahead(f, orbit.depth, k)):
+            break
+        orbit.step()
+    else:
+        return truncated_estimate(f, D.degree, orbit.lam(v), k)
+    if f.N >= 3:
+        raise BitBudgetError(f"exact step {orbit.depth + 1} is predicted over "
+                             f"{EXACT_STEP_BITS} bits; lower k to {orbit.depth}")
+    return _scaled_estimate(f, D, k)
+
+
+def _scaled_estimate(f: MinCritMap, D: Divisor, k: int) -> Estimate:
+    """The float orbit at infinity, N <= 2: renormalized SlicedForm steps
+    from D, refused up front (BitBudgetError) when a step is predicted to
+    need more than SCALED_STEP_BYTES.  Its radius covers the truncation
+    tail, not float rounding."""
+    j = scaled_depth(f.N, f.d, D.degree, k)
     if j < k:  # refuse before allocating anything
         raise BitBudgetError(f"scaled step {j + 1} is predicted to need over "
                              f"{SCALED_STEP_BYTES >> 20} MiB; lower k to {j}")
     S = SlicedForm.from_form(D.form)
     for _ in range(k):
-        S = S.power_push(d).compose_lshape(f.L_inv)
+        S = S.power_push(f.d).compose_lshape(f.L_inv)
     return truncated_estimate(f, D.degree, LocalLog.arch(mp.mpf(S.lam())), k, "scaled")
 
 
-def delta_relative_critical(f: MinCritMap, k: int, v: Place,
-                            mode: str | None = None) -> Estimate:
-    """delta_estimate at the critical divisor C_f."""
-    return delta_estimate(f, critical_divisor(f), k, v, mode=mode)
+def delta_relative_critical(f: MinCritMap, k: int, v: Place) -> Estimate:
+    """delta_estimate at the critical divisor C_f, by the library's rule."""
+    return delta_estimate(f, critical_divisor(f), k, v)

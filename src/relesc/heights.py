@@ -17,8 +17,8 @@ from math import factorial
 import mpmath as mp
 
 from .divisors import (Divisor, Estimate, ExactOrbit, MinCritMap, _check_dim,
-                       critical_divisor, delta_estimate, exact_fits,
-                       lambda_local, scaled_depth, slice_form,
+                       _inf_steps_ahead, _scaled_estimate, critical_divisor,
+                       exact_fits, lambda_local, scaled_depth, slice_form,
                        truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
@@ -111,25 +111,26 @@ def matrix_height(A):
 class GlobalEstimate:
     """Certified global value: true quantity in [value-error, value+error].
 
-    per_place maps repr(place) to that place's Estimate; the value is their
-    sum.  mode is 'global-exact' when infinity read the exact iterate, else
-    'per-place'."""
+    per_place maps repr(place) to that place's Estimate, in the order of
+    the places summed; the value is their sum."""
 
     value: mp.mpf
     error: mp.mpf
-    places_iterated: list
     k: int
-    mode: str = "per-place"
     warnings: list = field(default_factory=list)
     per_place: dict = field(default_factory=dict)
+
+    @property
+    def mode(self) -> str:
+        """per_place["inf"].mode as bench/tracing.py counts heights by it."""
+        inf = self.per_place.get(repr(INF))
+        return "global-exact" if inf is not None and inf.mode == "exact" else "per-place"
 
     def to_json_dict(self, digits: int = 17) -> dict:
         return {
             "value": mp.nstr(self.value, digits),
             "error": mp.nstr(self.error, digits),
             "k": self.k,
-            "mode": self.mode,
-            "places": [repr(p) for p in self.places_iterated],
             "warnings": list(self.warnings),
             "per_place": {
                 v: {key: item for key, item in est.to_json_dict(digits).items()
@@ -178,17 +179,14 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     (default auto_places), truncated, with the certified tails as error.
 
     D is pushed exactly once, and divisors.exact_fits is the one size rule
-    for its depth.  Infinity is exact by delta_estimate's rule: before each
-    step exact_fits must predict that the iterate at depth k fits.  While
-    it does the orbit steps to k; once it declines, the orbit steps on for
-    the bad primes while the depth is below min(k, PADIC_K_MAX) and
-    exact_fits admits the next iterate.  Infinity, if exact, and the bad
-    primes read lambda_v off that iterate, or off the last one within the
-    bit budget, where infinity falls back to scaled at the deepest depth
-    <= k predicted to fit.  At every other place Delta_v(D) = lambda_v(D)
-    exactly.  A place read below the depth it was asked for (k at
-    infinity, min(k, PADIC_K_MAX) at a bad prime) adds a warning, and so
-    does a scaled infinity: its radius does not cover float rounding.
+    for its depth: the orbit steps while it admits the next step for the
+    bad primes, below PADIC_K_MAX, or the steps infinity asks about, as in
+    delta_estimate.  The bad primes read lambda_v off the last iterate, and
+    so does infinity if it is at depth k or N >= 3; else an N <= 2 infinity
+    runs the float orbit at the deepest depth <= k predicted to fit.  At
+    every other place Delta_v(D) = lambda_v(D) exactly.  A warning is added
+    by infinity read below k, by a float infinity (its radius does not
+    cover float rounding) and by an orbit stopped by its bit budget.
 
     The iterate is an ExactOrbit: each step's content is a gcd seeded with
     s * den(L)^deg, a small multiple of it (_push_raw), and at each bad
@@ -200,19 +198,18 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     _check_dim(f, D)
     if D.contains_hyperplane_at_infinity():
         raise DomainError("relative canonical height undefined for D containing H")
-    N, d = f.N, f.d
     if k is None:
-        k = default_k(N)
+        k = default_k(f.N)
     bad = map_bad_primes(f)
     if places is None:
         places = auto_places(f, D, bad)
-    exact_inf = INF in places
     bad_places = [v for v in places if not v.is_arch and v.p in bad]
     warnings: list[str] = []
     orbit = ExactOrbit(f, D, bad_places)
     while orbit.depth < k:
-        exact_inf = exact_inf and exact_fits(f, orbit.terms, k - orbit.depth)
-        if not (exact_inf or bad_places and orbit.depth < PADIC_K_MAX
+        if not (INF in places
+                and exact_fits(f, orbit.terms, _inf_steps_ahead(f, orbit.depth, k))
+                or bad_places and orbit.depth < PADIC_K_MAX
                 and exact_fits(f, orbit.terms, 1)):
             break
         try:
@@ -220,24 +217,21 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         except BitBudgetError as exc:
             warnings.append(f"exact iterate stops at k={orbit.depth}, over bit budget: {exc}")
             break
-    exact_inf = exact_inf and orbit.depth == k
 
     value = mp.mpf(0)
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}
     for v in places:
-        asked = k if v.is_arch else min(k, PADIC_K_MAX) if v in bad_places else 0
-        if (v.is_arch and exact_inf) or v in bad_places:
+        if v in bad_places or v.is_arch and (orbit.depth == k or f.N >= 3):
             est = truncated_estimate(f, D.degree, orbit.lam(v), orbit.depth)
         elif v.is_arch:
-            est = delta_estimate(f, D, scaled_depth(N, d, D.degree, k), v,
-                                 mode="scaled")
+            est = _scaled_estimate(f, D, scaled_depth(f.N, f.d, D.degree, k))
         else:
             # L is v-integral with unit norm: the per-step constant is 0,
             # so Delta_v(D) = lambda_v(D) exactly
             est = Estimate(value=lambda_local(D, v), error=LocalLog.zero(v),
                            iterations_used=0, place=v, mode="exact")
-        if est.iterations_used < asked:
+        if v.is_arch and est.iterations_used < k:
             warnings.append(f"budget at {v}: read at k={est.iterations_used}")
         if est.mode == "scaled":
             warnings.append(f"scaled at {v}: the radius covers the truncation "
@@ -245,9 +239,8 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
         per_place[repr(v)] = est
         value += est.value.to_mpf()
         err += est.error.to_mpf()
-    return GlobalEstimate(value=value, error=err, places_iterated=places, k=k,
-                          mode="global-exact" if exact_inf else "per-place",
-                          warnings=warnings, per_place=per_place)
+    return GlobalEstimate(value=value, error=err, k=k, warnings=warnings,
+                          per_place=per_place)
 
 
 def relative_critical_height(f: MinCritMap, k: int | None = None,

@@ -28,8 +28,8 @@ class InternalError(RuntimeError):
 
 
 class BitBudgetError(RuntimeError):
-    """A computation would outgrow its budget: exact-mode coefficient bits,
-    or the memory of a scaled-mode step."""
+    """A computation would outgrow its budget: the bits of an exact
+    iterate, or the memory of a float step."""
 
 
 def vp_int(n: int, p: int) -> int:

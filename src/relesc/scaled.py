@@ -27,8 +27,8 @@ np.log round differently from them on some platforms.
 
 A slice of a degree-D form holds (D - s + 1)^(N-1) floats and the degree
 grows like d^{N-1} per push-forward step, which is why
-divisors.delta_estimate refuses scaled mode for N >= 3, and for any N
-refuses a step whose step_bytes is over its budget.
+divisors.delta_estimate runs the float orbit only for N <= 2, and refuses
+a step whose step_bytes is over its budget.
 """
 
 from __future__ import annotations

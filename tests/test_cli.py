@@ -30,6 +30,7 @@ def run(capsys, argv):
 
 MAP3 = {"N": 1, "d": 2, "A": [["1"]], "b": ["3"]}
 MAPHALF = {"N": 1, "d": 2, "A": [["1"]], "b": ["1/2"]}
+MAPU2 = {"N": 2, "d": 2, "A": [["1", "1"], ["0", "1"]], "b": ["1/2", "-1/3"]}
 DIV0 = {"vars": 2, "terms": [{"exps": [1, 0], "coeff": "1"}]}
 DIVH = {"vars": 2, "terms": [{"exps": [0, 1], "coeff": "1"}]}
 
@@ -68,6 +69,29 @@ class TestEscapeRate:
                      "--divisor", mapfile("d.json", D), "--iters", "6"])
         assert code == 2
         assert "lower k" in capsys.readouterr().err
+
+    def test_n2_default_depth_answers(self, capsys, mapfile):
+        # without --iters an N=2 estimate takes the library's depth, 5,
+        # where 20 was refused on every N=2, d=2 map
+        D = {"vars": 3, "terms": [{"exps": [1, 1, 0], "coeff": "1"}]}
+        code, out = run(capsys, ["escape-rate", "--map", mapfile("m.json", MAPU2),
+                                 "--divisor", mapfile("d.json", D)])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["config"]["iters"] == obj["estimate"]["k"] == 5
+        assert "mode" not in obj["config"]
+
+    def test_exact_switch(self, capsys, mapfile):
+        # --exact iterates exactly to --iters; the default turns to the
+        # float orbit where the exact iterate is predicted too large
+        argv = ["escape-rate", "--map", mapfile("m.json", MAP3),
+                "--divisor", mapfile("d.json", DIV0), "--iters", "20"]
+        modes = []
+        for extra in ([], ["--exact"]):
+            code, out = run(capsys, argv + extra)
+            assert code == 0
+            modes.append(json.loads(out)["estimate"]["mode"])
+        assert modes == ["scaled", "exact"]
 
     def test_output_roundtrips_as_input(self, capsys, mapfile, tmp_path):
         code, out = run(capsys, ["escape-rate", "--map", mapfile("m.json", MAP3),
@@ -123,7 +147,7 @@ class TestCriticalHeight:
         auto, listed = reports
         for key in ("value", "error", "per_place"):
             assert listed[key] == auto[key]
-        assert listed["config"]["mode"] == auto["config"]["mode"] == "per-place"
+        assert auto["per_place"]["inf"]["mode"] == "scaled"
 
     @pytest.mark.parametrize("places", ["auto", "inf,2"])
     def test_per_place_sums_to_totals(self, capsys, mapfile, places):
@@ -141,6 +165,19 @@ class TestCriticalHeight:
         assert abs(sum(float(e["error"]) for e in parts.values())
                    - float(obj["error"])) < 1e-12
 
+
+    def test_n3_map_answers(self, capsys, mapfile):
+        # infinity reads the exact orbit at the depth the size rule admits
+        m = {"N": 3, "d": 2, "A": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+             "b": ["1/2", "-1/3", "1/5"]}
+        t0 = time.perf_counter()
+        code, out = run(capsys, ["critical-height", "--map", mapfile("m.json", m)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        obj = json.loads(out)
+        inf = obj["per_place"]["inf"]
+        assert inf["mode"] == "exact"
+        assert obj["warnings"] == [f"budget at inf: read at k={inf['k']}"]
 
     def test_uncertifiable_prime_denominator_exit2(self, capsys, mapfile):
         # 2^89 - 1 is prime but above the deterministic Miller-Rabin bound:
@@ -284,6 +321,21 @@ class TestMandelSlice:
         rows = [l.split(",") for l in open(base + ".csv") if not l.startswith("#")]
         # center cell is b = (0, 0): preperiodic, value ~ 0
         assert abs(float(rows[1][1])) < 1e-9
+
+    def test_n2_default_depth_answers(self, capsys, mapfile, tmp_path):
+        # without --max-iter an N=2 grid takes the library's depth, 5, where
+        # 50 was refused on every N=2, d=2 map; an N=1 grid keeps 50 float
+        # iterations
+        mapf = mapfile("n2.json", {"N": 2, "d": 2, "A": [["1", "0"], ["0", "1"]],
+                                   "b": ["0", "0"]})
+        depths = []
+        for extra in (["--map", mapf], []):
+            base = str(tmp_path / f"g{len(extra)}")
+            code, _ = run(capsys, ["mandel-slice", "--grid=-3:3:3:3", "--out", base]
+                          + extra)
+            assert code == 0
+            depths.append(json.loads(open(base + ".csv").readline()[2:])["max_iter"])
+        assert depths == [5, 50]
 
     def test_requires_out(self, capsys):
         code, _ = run(capsys, ["mandel-slice", "--grid=0:1:1:4"])

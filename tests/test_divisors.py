@@ -7,8 +7,8 @@ import pytest
 
 from relesc import divisors
 from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _lambda_terms,
-                             _push_raw, _raw_terms, critical_divisor,
-                             delta_estimate, exact_fits,
+                             _push_raw, _raw_terms, _scaled_estimate,
+                             critical_divisor, delta_estimate, exact_fits,
                              delta_relative_critical, lambda_local, mu_local,
                              pullback_map, pullback_translation,
                              pushforward_map, unicritical_map)
@@ -215,7 +215,7 @@ class TestLambdaMuTransforms:
 class TestDeltaEstimate:
     def test_preperiodic_zero(self):
         f = unicritical_map(2, Q(-1))
-        est = delta_estimate(f, Divisor.point(Q(0)), 30, INF, mode="scaled")
+        est = _scaled_estimate(f, Divisor.point(Q(0)), 30)
         assert abs(est.value_float()) <= 1e-6
 
     def test_escape_rate_c3(self):
@@ -240,12 +240,12 @@ class TestDeltaEstimate:
              Divisor(HF(3, 1, {(1, 0, 0): Q(1), (0, 1, 0): Q(2), (0, 0, 1): Q(3)})), 3),
             # one step: at k=2 the scaled value of f23 is 0.30 above the
             # exact one, float cancellation in the twisted product (the
-            # ball backend of ROADMAP direction 1 is to bound it)
+            # ball backend of ROADMAP direction 5 is to bound it)
             (f23, critical_divisor(f23), 1),
         ]
         for f, D, k in cases:
             e1 = delta_estimate(f, D, k, INF, mode="exact")
-            e2 = delta_estimate(f, D, k, INF, mode="scaled")
+            e2 = _scaled_estimate(f, D, k)
             assert abs(e1.value_float() - e2.value_float()) <= 1e-9
 
     def test_default_mode_keeps_no_wasted_exact_steps(self, monkeypatch):
@@ -264,7 +264,7 @@ class TestDeltaEstimate:
         est = delta_estimate(f, D, 20, INF)
         monkeypatch.undo()
         assert len(calls) <= 1
-        scaled = delta_estimate(f, D, 20, INF, mode="scaled")
+        scaled = _scaled_estimate(f, D, 20)
         assert est.mode == "scaled"
         assert est.value.to_mpf() == scaled.value.to_mpf()
         assert est.error.to_mpf() == scaled.error.to_mpf()
@@ -302,10 +302,12 @@ class TestDeltaEstimate:
         with pytest.raises(DomainError):
             delta_estimate(f, D, 3, INF)
 
-    def test_scaled_arch_only(self):
+    def test_float_orbit_is_not_a_mode(self):
+        # only the default rule reaches the float orbit, at no place on request
         f = unicritical_map(2, Q(1))
-        with pytest.raises(UsageError):
-            delta_estimate(f, Divisor.point(Q(0)), 3, P2, mode="scaled")
+        for v in (INF, P2):
+            with pytest.raises(UsageError):
+                delta_estimate(f, Divisor.point(Q(0)), 3, v, mode="scaled")
 
     def test_bit_budget(self, monkeypatch):
         f = unicritical_map(2, Q(12345, 7))

@@ -11,9 +11,9 @@ import pytest
 
 import relesc
 from relesc import divisors
-from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, critical_divisor,
-                             delta_estimate, exact_fits, lambda_local,
-                             pushforward_map, unicritical_map)
+from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _scaled_estimate,
+                             critical_divisor, delta_estimate, exact_fits,
+                             lambda_local, pushforward_map, unicritical_map)
 from relesc.forms import HomogeneousForm as HF
 from relesc.heights import (PADIC_K_MAX, good_reduction, height_divisor,
                             main_bound_constants, map_bad_primes, matrix_height,
@@ -24,6 +24,7 @@ from relesc.places import INF, Place
 from relesc.rational import DomainError, UsageError, vp, vp_int
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+I3 = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
 
 
 def near(x, y, tol=1e-25):
@@ -80,6 +81,13 @@ class TestNaiveHeights:
         assert near(matrix_height([[Q(1, 2), Q(0)], [Q(0), Q(2)]]), mp.log(4))
 
 
+# N=2, d=2 maps like the benchmark's global heights: A in
+# {I, [[1,1],[0,1]]}, b = (a/11, c/13)
+BENCH_LIKE_N2 = [MinCritMap(2, 2, A, [Q(a, 11), Q(c, 13)]) for A, a, c in (
+    ([[1, 0], [0, 1]], -2, -23), ([[1, 0], [0, 1]], 12, -6),
+    ([[1, 1], [0, 1]], -8, -17), ([[1, 1], [0, 1]], 15, 19))]
+
+
 class TestRelativeCanonicalHeight:
     def test_fixed_point_zero(self):
         g = relative_canonical_height(unicritical_map(2, Q(0)),
@@ -90,7 +98,7 @@ class TestRelativeCanonicalHeight:
     def test_c3_only_infinity_contributes(self):
         g = relative_canonical_height(unicritical_map(2, Q(3)),
                                       Divisor.point(Q(0)))
-        assert "inf" in [repr(p) for p in g.places_iterated]
+        assert "inf" in g.per_place
         # 3 is integral everywhere: every finite place contributes exactly 0
         for key, est in g.per_place.items():
             if key != "inf":
@@ -100,7 +108,7 @@ class TestRelativeCanonicalHeight:
     def test_chalf_adds_2adic_part(self):
         g = relative_canonical_height(unicritical_map(2, Q(1, 2)),
                                       Divisor.point(Q(0)))
-        assert "2" in [repr(p) for p in g.places_iterated]
+        assert "2" in g.per_place
         arch = g.per_place["inf"].value.to_mpf()
         two = g.per_place["2"].value
         assert two.r == Q(1, 2)
@@ -111,7 +119,7 @@ class TestRelativeCanonicalHeight:
                                       Divisor.point(Q(0)))
         obj = g.to_json_dict(40)
         parts = obj["per_place"]
-        assert list(parts) == obj["places"]
+        assert list(parts) == list(g.per_place)
         assert parts["3"]["mode"] == "exact" and parts["3"]["k"] >= 1
         assert near(sum(mp.mpf(e["value"]) for e in parts.values()), g.value)
         assert near(sum(mp.mpf(e["error"]) for e in parts.values()), g.error)
@@ -130,7 +138,7 @@ class TestRelativeCanonicalHeight:
             f, D, k, places=[Place(p) for p in map_bad_primes(f)])
         assert {e.iterations_used for e in primes.per_place.values()} == {alone}
         g = relative_canonical_height(f, D, k)
-        assert g.mode == "global-exact"
+        assert g.per_place["inf"].mode == "exact"
         assert {e.iterations_used for e in g.per_place.values()} == {0, k}
         # oracle: the relative height of the k-th push-forward
         G = D
@@ -139,7 +147,7 @@ class TestRelativeCanonicalHeight:
         assert near(g.value, relative_height(G) / mp.mpf(f.d) ** (f.N * k), tol=1e-30)
         assert near(sum(e.value.to_mpf() for e in g.per_place.values()), g.value)
         # the scaled value at infinity plus the same finite parts
-        scaled = delta_estimate(f, D, k, INF, mode="scaled")
+        scaled = _scaled_estimate(f, D, k)
         finite = sum(e.value.to_mpf() for v, e in g.per_place.items() if v != "inf")
         assert abs(g.value - scaled.value.to_mpf() - finite) \
             <= g.error + scaled.error.to_mpf() + mp.mpf("1e-9")
@@ -206,7 +214,7 @@ class TestRelativeCanonicalHeight:
         f = unicritical_map(2, Q(5, 6))
         D = Divisor.point(Q(0))
         g = relative_canonical_height(f, D, places=[INF, Place(3)])
-        assert g.mode == "per-place"
+        assert g.per_place["inf"].mode == "scaled"
         assert list(g.per_place) == ["inf", "3"]
 
     def test_budget_fallback_warns(self, monkeypatch):
@@ -214,15 +222,14 @@ class TestRelativeCanonicalHeight:
         # runs scaled, flagged, without an exact step that overflows, and
         # agrees with the exact value in the default budget
         f = unicritical_map(2, Q(10))
-        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 256)
+        monkeypatch.setattr(divisors, "EXACT_STEP_BITS", 256)
         g = relative_canonical_height(f, Divisor.point(Q(0)), 9)
         monkeypatch.undo()
-        assert g.mode == "per-place"
         assert g.per_place["inf"].mode == "scaled"
         assert any("rounding" in w for w in g.warnings)
         assert not any("bit budget" in w for w in g.warnings)
         exact = relative_canonical_height(f, Divisor.point(Q(0)), 9)
-        assert exact.mode == "global-exact"
+        assert exact.per_place["inf"].mode == "exact"
         assert abs(float(g.value) - float(exact.value)) < 1e-6
 
     def test_scaled_infinity_is_flagged(self):
@@ -237,30 +244,33 @@ class TestRelativeCanonicalHeight:
         assert flags == ["scaled at inf: the radius covers the truncation "
                          "tail, not float rounding"]
         exact = relative_canonical_height(f, D, 10)
-        assert exact.mode == "global-exact"
+        assert exact.per_place["inf"].mode == "exact"
         assert not any("rounding" in w for w in exact.warnings)
         assert abs(scaled.value - exact.value) <= scaled.error + exact.error
 
     def test_padic_budget_degrades_depth(self, monkeypatch):
-        # a bad prime whose exact iteration cannot reach its default depth
-        # (8) in budget reads the deepest iterate that fit, and says so
+        # a bad prime whose exact orbit meets the bit budget before its
+        # default depth (8) reads the deepest iterate that fit, and the
+        # orbit's stop says so
         f = unicritical_map(2, Q(999998, 7))
         monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 2048)
         g = relative_canonical_height(f, Divisor.point(Q(0)), 12)
         est = g.per_place["7"]
         assert est.iterations_used < 8
-        assert f"budget at 7: read at k={est.iterations_used}" in g.warnings
+        assert any(w.startswith(f"exact iterate stops at k={est.iterations_used}, "
+                                "over bit budget") for w in g.warnings)
 
     def test_bad_prime_steps_while_exact_fits(self):
         # N=2, d=3: the depth-2 iterate fits EXACT_STEP_BITS and the
         # depth-3 one does not, so p=2 is read at depth 2 (radius 0.616
-        # nats; 1.848 at depth 1), below the depth asked for, and says so
+        # nats; 1.848 at depth 1).  The size rule chose that depth, so it
+        # is no budget event and adds no warning
         f = MinCritMap(2, 3, [[1, 0], [0, 1]], [2, Q(-1, 2)])
         g = relative_critical_height(f, places=[Place(2)])
         est = g.per_place["2"]
         assert est.iterations_used == 2
         assert abs(est.error_float() - 0.6161) < 1e-3
-        assert g.warnings == ["budget at 2: read at k=2"]
+        assert g.warnings == []
         orbit = ExactOrbit(f, critical_divisor(f))
         orbit.step()
         assert exact_fits(f, orbit.terms, 1)
@@ -270,11 +280,18 @@ class TestRelativeCanonicalHeight:
     def test_bench_like_n2_bad_primes_keep_depth_4(self):
         # N=2, d=2, A in {I, [[1,1],[0,1]]}, b = (a/11, c/13): exact_fits
         # stops both primes at depth 4 at the default k=5
-        for A, a, c in (([[1, 0], [0, 1]], -2, -23), ([[1, 0], [0, 1]], 12, -6),
-                        ([[1, 1], [0, 1]], -8, -17), ([[1, 1], [0, 1]], 15, 19)):
-            g = relative_critical_height(MinCritMap(2, 2, A, [Q(a, 11), Q(c, 13)]))
+        for f in BENCH_LIKE_N2:
+            g = relative_critical_height(f)
             assert g.per_place["11"].iterations_used == 4
             assert g.per_place["13"].iterations_used == 4
+
+    def test_bench_like_n2_bad_primes_do_not_warn(self):
+        # the size rule, not a budget, stops those primes below k, so
+        # neither warns; infinity reads the float orbit at k and says so
+        for f in BENCH_LIKE_N2:
+            g = relative_critical_height(f)
+            assert g.warnings == ["scaled at inf: the radius covers the "
+                                  "truncation tail, not float rounding"]
 
     def test_n1_bad_primes_stop_at_padic_k_max(self):
         # PADIC_K_MAX stops these primes, not exact_fits, which admits the
@@ -297,7 +314,7 @@ class TestRelativeCanonicalHeight:
         # D = [1/5]: Delta_5 = log 5 exactly even at a good-reduction place
         f = unicritical_map(2, Q(3))
         g = relative_canonical_height(f, Divisor.point(Q(1, 5)))
-        assert "5" in [repr(p) for p in g.places_iterated]
+        assert "5" in g.per_place
         assert g.per_place["5"].value.r == 1
         assert g.per_place["5"].error.r == 0
 
@@ -323,7 +340,7 @@ class TestCriticalHeight:
             from relesc.divisors import unicritical_map
             from relesc.heights import relative_critical_height
             g = relative_critical_height(unicritical_map(2, Q(1, 1000000007 * 998244353)))
-            print(" ".join(repr(v) for v in g.places_iterated))
+            print(" ".join(g.per_place))
         """)
         out = subprocess.run([sys.executable, "-c", code, str(SRC)],
                              capture_output=True, text=True, timeout=10)
@@ -331,20 +348,37 @@ class TestCriticalHeight:
         assert {"1000000007", "998244353"} <= set(out.stdout.split())
 
     def test_n3_small_k_answers(self):
-        # N=3 at k=2 fits the exact budget at infinity, so no scaled
-        # refusal; the default k=5 does not fit and is refused at once
-        f = MinCritMap(3, 2, [[Q(int(i == j)) for j in range(3)] for i in range(3)],
-                       [Q(1, 2), Q(-1), Q(3)])
+        # N=3 at k=2 fits the exact budget at infinity; the default k=5
+        # does not, and infinity reads the exact orbit where the size rule
+        # stops it, and says so
+        f = MinCritMap(3, 2, I3, [Q(1, 2), Q(-1), Q(3)])
         t0 = time.perf_counter()
         g = relative_critical_height(f, 2)
         assert time.perf_counter() - t0 < 10.0
-        assert g.mode == "global-exact"
+        assert g.warnings == []
         assert g.per_place["inf"] == delta_estimate(f, critical_divisor(f), 2,
                                                     INF, mode="exact")
         t0 = time.perf_counter()
-        with pytest.raises(UsageError):
-            relative_critical_height(f)
+        g = relative_critical_height(f)
         assert time.perf_counter() - t0 < 10.0
+        inf = g.per_place["inf"]
+        assert inf.mode == "exact" and 1 <= inf.iterations_used < 5
+        assert g.warnings == [f"budget at inf: read at k={inf.iterations_used}"]
+
+    def test_n3_product_map_meets_its_factors(self):
+        # A = I makes f the product of z -> z^2 + b_i, and its relative
+        # critical height the sum of theirs; infinity reads the exact
+        # orbit at the depth the size rule admits (1 here), not a float one
+        b = (Q(1, 2), Q(-1, 3), Q(1, 5))
+        f = MinCritMap(3, 2, I3, b)
+        t0 = time.perf_counter()
+        g = relative_critical_height(f)
+        assert time.perf_counter() - t0 < 1.0
+        inf = g.per_place["inf"]
+        assert inf.mode == "exact" and inf.iterations_used >= 1
+        parts = [relative_critical_height(unicritical_map(2, c)) for c in b]
+        assert abs(g.value - sum(p.value for p in parts)) \
+            <= g.error + sum(p.error for p in parts)
 
     def test_n2_b0_preperiodic(self):
         f = MinCritMap(2, 2, [[Q(2), Q(5)], [Q(1), Q(3)]], [Q(0), Q(0)])

@@ -231,15 +231,21 @@ def test_one_step_lambda_is_exact(N, d):
 
 
 def test_scaled_mode_refused_promptly_at_n3():
+    # there is no float orbit at N=3: a k past the exact orbit's reach is
+    # refused with the depth to ask for, which answers exactly, and the
+    # height reads infinity at that depth
     f = MinCritMap(3, 2, [[Q(int(i == j)) for j in range(3)] for i in range(3)],
                    [Q(1), Q(-1, 2), Q(2)])
+    C = critical_divisor(f)
     t0 = time.perf_counter()
+    with pytest.raises(BitBudgetError, match=r"lower k to \d+$") as refused:
+        delta_estimate(f, C, 5, INF)
+    j = int(str(refused.value).rsplit(" ", 1)[1])
+    assert 1 <= j < 5
+    assert delta_estimate(f, C, j, INF).mode == "exact"
     with pytest.raises(UsageError):
-        delta_estimate(f, critical_divisor(f), 5, INF, mode="scaled")
-    with pytest.raises(UsageError):
-        delta_estimate(f, critical_divisor(f), 5, INF)
-    with pytest.raises(UsageError):
-        relative_critical_height(f)
+        delta_estimate(f, C, 5, INF, mode="scaled")
+    assert relative_critical_height(f).per_place["inf"].iterations_used == j
     assert time.perf_counter() - t0 < 10.0
 
 
