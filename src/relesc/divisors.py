@@ -14,12 +14,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, prod
+from math import comb
 
 import mpmath as mp
 
-from .forms import (HomogeneousForm, _product_raw, _subst_raw, compose_linear,
-                    form_product, power_pullback, pushforward_terms, slice_form)
+from .forms import (HomogeneousForm, _elementary, _product_raw, _subst_raw,
+                    compose_linear, form_product, power_pullback,
+                    pushforward_terms, slice_form)
 from . import places as _places
 from .places import (LocalLog, Place, gauss_norm_log, local_min,
                      log_plus_int, matrix_lambda, matrix_norm_log)
@@ -119,9 +120,10 @@ class Divisor:
 
 class MinCritMap:
     """f(X) = A X^d + b with A in SL_N, together with the block matrix
-    L = [[A, b], [0, 1]] and its exact inverse; f = L o phi."""
+    L = [[A, b], [0, 1]], its exact inverse and the elementary operations
+    of the inverse (L_inv_ops, as _subst_raw takes them); f = L o phi."""
 
-    __slots__ = ("N", "d", "A", "b", "L", "L_inv", "A_inv")
+    __slots__ = ("N", "d", "A", "b", "L", "L_inv", "A_inv", "L_inv_ops")
 
     def __init__(self, N: int, d: int, A, b):
         if N < 1 or d < 2:
@@ -139,6 +141,7 @@ class MinCritMap:
         A_inv = [row[:N] for row in L_inv[:N]]
         self.N, self.d = N, d
         self.A, self.b, self.L, self.L_inv, self.A_inv = A, b, L, L_inv, A_inv
+        self.L_inv_ops = _elementary(L_inv, N + 1)
 
     @staticmethod
     def from_json_dict(obj: dict) -> "MinCritMap":
@@ -228,13 +231,21 @@ def mu_local(D: Divisor, v: Place) -> LocalLog:
 # push-forward / pull-back
 # ---------------------------------------------------------------------------
 
-def _push_raw(f: MinCritMap, terms: dict) -> tuple[dict, Fraction]:
+def _push_raw(f: MinCritMap, terms: dict,
+              twisted: tuple[int, ...] | None = None) -> tuple[dict, Fraction]:
     """One exact step on raw terms: (G', r) with G' the primitive integer
     terms, leading coefficient positive as in canonical_form, of f_* of the
     divisor whose form F has the primitive integer terms given, and r the
     step scalar, G' = r * G(L^{-1} X) for G = phi_* F.  ExactOrbit calls it
     once per component of a divisor, so F is one component (a coordinate
     hyperplane's iterate, or a cofactor's), not their product.
+
+    twisted, when given, holds every twisted variable x_v (v < N) that F
+    contains, and the push runs over those u variables
+    alone (pushforward_terms): then f_* [F] = d^(N - u) [G'], and r is the
+    d^(N - u)-th root of the full push's scalar.  With u = 0 (H, or a form
+    of degree 0) F is kept and r = 1, with f_* [F] = d^(N - 1) [F]: L^{-1}
+    fixes X_{N+1}.  None pushes all N variables.
 
     Content invariant: G is primitive (Gauss's content lemma over
     Z[zeta_d]: content(G) = content(F)^(d^N) = 1), so the content g of
@@ -247,8 +258,12 @@ def _push_raw(f: MinCritMap, terms: dict) -> tuple[dict, Fraction]:
     a prime p where A is p-integral v_p of its content is v_p(r) +
     d^N v_p(content F_0) (ExactOrbit); elsewhere it must be read off G'."""
     n = f.N + 1
-    deg = sum(next(iter(terms))) * f.d ** (f.N - 1)
-    terms, s = _subst_raw(pushforward_terms(terms, f.d, n), f.L_inv, n)
+    if twisted is None:
+        twisted = tuple(range(f.N))
+    elif not twisted:
+        return terms, Fraction(1)
+    deg = sum(next(iter(terms))) * f.d ** (len(twisted) - 1)
+    terms, s = _subst_raw(pushforward_terms(terms, f.d, n, twisted), f.L_inv_ops, n)
     seed = s * lcm_denominators(x for row in f.L for x in row) ** deg
     g = content(chain((seed,), terms.values()))
     if terms[max(terms)] < 0:
@@ -295,15 +310,25 @@ class ExactOrbit:
     """The exact iterates f_*^j D of a divisor, j = depth, on raw integer
     terms, with the slice-0 valuations carried along.
 
-    D is carried as components with multiplicities, D = sum_i m_i D_i
-    (_components; C_f is [(X_i, d-1)]), and each step pushes every
-    component by itself with _push_raw, since f_* is additive.  A step's
-    cost grows about as (terms)^2 x M(bits), so pushing the degree-1
-    hyperplanes of C_f and multiplying their images is far cheaper than
-    pushing (X_1...X_N)^(d-1).  After each step the canonical components
-    are multiplied into terms, and the step scalar is r = prod r_i^(m_i).
-    Four facts make terms and r bit-identical to one _push_raw of the
-    product form:
+    D is carried as reduced components with multiplicities,
+    D = sum_i m_i D_i (_components; C_f is [(X_i, d-1)]), and each step
+    pushes every component by itself with _push_raw, since f_* is
+    additive, over only the u twisted variables it contains:
+    f_* D_i = d^(N - u) [D_i'], so the multiplicity of D_i' is
+    m_i d^(N - u), or m_i d^(N - 1) for u = 0.  A step's cost grows about
+    as (terms)^2 x M(bits), so pushing lines is far cheaper than pushing
+    their product: for A = I every component stays a line in
+    (x_i, X_{N+1}), an N=1 point orbit, and under an upper-triangular A
+    the last one stays a line in (x_N, X_{N+1}).  The step scalar is
+    r = prod r_i^(m_i'), m_i' the new multiplicities.
+
+    terms, the primitive integer terms of the canonical form of f_*^depth D,
+    is the product prod_i (D_i')^(m_i') (_product_raw, by repeated
+    squaring), formed the first time it is read at a depth; lam at a
+    tracked prime never reads it.  Five facts make terms and r
+    bit-identical to one full _push_raw of the product form:
+    - the mu_d norm in a variable x of a form without x is its d-th
+      power, so the full push of D_i is the reduced one to d^(N - u);
     - the norm is multiplicative: phi_*(FG) = phi_*F * phi_*G;
     - substitution commutes with products: (FG)(L^{-1} X) is
       F(L^{-1} X) G(L^{-1} X);
@@ -312,47 +337,58 @@ class ExactOrbit:
       lex-leading coefficients, so a product of canonical forms is
       canonical.
 
-    components are the (terms, multiplicity) pairs of f_*^depth D_i,
-    terms the primitive integer terms of the canonical form of
-    f_*^depth D, each step's content taken by _push_raw's seeded gcd, and
-    vals maps the prime p of each tracked place at which A is p-integral
-    to v_p(content of slice 0 of terms).
+    components are the (terms, multiplicity) pairs of the reduced
+    f_*^depth D_i, each step's content taken by _push_raw's seeded gcd,
+    and vals maps the prime p of each tracked place at which A is
+    p-integral to v_p(content of slice 0 of terms).
 
     Valuation invariant: slice 0 of the next iterate is
-    r * (phi_* F_0)(A^{-1} X), r the step scalar of _push_raw, and
-    phi_* F_0 has content content(F_0)^(d^N).  An A that is p-integral has
-    det 1, so A^{-1} is p-integral too and the substitution keeps the
-    p-adic content: v <- v_p(r) + d^N v, with no valuation of a large
+    r * (phi_* F_0)(A^{-1} X), r the step scalar, and phi_* F_0 has
+    content content(F_0)^(d^N).  An A that is p-integral has det 1, so
+    A^{-1} is p-integral too and the substitution keeps the p-adic
+    content: v <- v_p(r) + d^N v, with no valuation of a large
     coefficient.  Where A is not p-integral the substitution can change the
     content, so lambda_p is read off the iterate, as at infinity.
     """
 
-    __slots__ = ("f", "components", "terms", "depth", "vals")
+    __slots__ = ("f", "components", "depth", "vals", "_terms")
 
     def __init__(self, f: MinCritMap, D: Divisor, places=()):
         """The orbit of D, tracking the finite places given.  A D that
         contains H tracks none: f_* keeps H, so lambda stays +inf."""
-        self.f, self.terms, self.depth = f, _raw_terms(D), 0
-        self.components = _components(self.terms)
+        self.f, self._terms, self.depth = f, _raw_terms(D), 0
+        self.components = _components(self._terms)
         if D.contains_hyperplane_at_infinity():
             places = ()
         den_A = lcm_denominators(x for row in f.A for x in row)
-        self.vals = {v.p: _lambda_terms(self.terms, v).r
+        self.vals = {v.p: _lambda_terms(self._terms, v).r
                      for v in places if den_A % v.p}
 
+    @property
+    def terms(self) -> dict:
+        """The integer terms of the current iterate, the product of the
+        components, formed once a depth."""
+        if self._terms is None:
+            self._terms = _product_raw(self.components, self.f.N + 1)
+        return self._terms
+
     def step(self) -> Fraction:
-        """Advance one step and return its scalar r; on BitBudgetError (a
-        coefficient over DEFAULT_BIT_BUDGET bits) the orbit is left as it
+        """Advance one step and return its scalar r; on BitBudgetError
+        (_check_budget of the new components) the orbit is left as it
         was."""
         f = self.f
-        pushed = [(_push_raw(f, c), m) for c, m in self.components]
-        components = [(g, m) for (g, _), m in pushed]
-        terms = _product_raw(components, f.N + 1)
-        _check_budget(terms)
-        r = prod(r_i ** m for (_, r_i), m in pushed)
-        dN = f.d ** f.N
+        N, d = f.N, f.d
+        components, r = [], Fraction(1)
+        for c, m in self.components:
+            twisted = tuple(v for v in range(N) if any(e[v] for e in c))
+            g, r_i = _push_raw(f, c, twisted)
+            m *= d ** (N - max(len(twisted), 1))
+            components.append((g, m))
+            r *= r_i ** m
+        _check_budget(components)
+        dN = d ** N
         self.vals = {p: vp(r, p) + dN * v for p, v in self.vals.items()}
-        self.components, self.terms, self.depth = components, terms, self.depth + 1
+        self.components, self._terms, self.depth = components, None, self.depth + 1
         return r
 
     def lam(self, v: Place) -> LocalLog:
@@ -406,10 +442,16 @@ def _check_dim(f: MinCritMap, D: Divisor) -> None:
         raise UsageError(f"divisor lives on P^{D.N}, map on P^{f.N}")
 
 
-def _check_budget(terms: dict) -> None:
-    """Raise BitBudgetError if an integer coefficient exceeds
-    DEFAULT_BIT_BUDGET bits."""
-    if max(abs(c).bit_length() for c in terms.values()) > DEFAULT_BIT_BUDGET:
+def _check_budget(components: list[tuple[dict, int]]) -> None:
+    """Raise BitBudgetError if the components (terms of D_i, m_i) of an
+    iterate have sum_i m_i * bits(max |c| of D_i) over DEFAULT_BIT_BUDGET.
+    That is the bit length of prod_i (max |c| of D_i)^(m_i), within
+    sum_i m_i log2(terms of D_i) bits of the largest coefficient of the
+    product, and it is read without forming the product; for one component
+    of multiplicity 1 it is that coefficient's bit length."""
+    bits = sum(m * max(abs(c) for c in terms.values()).bit_length()
+               for terms, m in components)
+    if bits > DEFAULT_BIT_BUDGET:
         raise BitBudgetError(f"coefficient exceeds {DEFAULT_BIT_BUDGET} bits; "
                              "lower k")
 
@@ -445,15 +487,13 @@ class Estimate:
         }
 
 
-def delta_step_constant(f: MinCritMap, v: Place) -> LocalLog:
+def delta_step_constant(f: MinCritMap, v: Place, consts) -> LocalLog:
     """Per-step contraction constant of the telescoping bound:
-    d^{-1}(log||L|| - log||A|| + lambda(L) + lambda(A) + c2) + 4N log^+|2|.
-    """
-    N, d = f.N, f.d
-    consts = _places.place_constants(N, d, v)
+    d^{-1}(log||L|| - log||A|| + lambda(L) + lambda(A) + c2) + 4N log^+|2|,
+    consts the place_constants(N, d, v)."""
     inner = (matrix_norm_log(f.L, v) - matrix_norm_log(f.A, v)
              + matrix_lambda(f.L, v) + matrix_lambda(f.A, v) + consts.c2)
-    return inner.scaled(Fraction(1, d)) + log_plus_int(2, v).scaled(4 * N)
+    return inner.scaled(Fraction(1, f.d)) + log_plus_int(2, v).scaled(4 * f.N)
 
 
 def delta_tail_bound(f: MinCritMap, deg: int, k: int, v: Place) -> LocalLog:
@@ -462,7 +502,7 @@ def delta_tail_bound(f: MinCritMap, deg: int, k: int, v: Place) -> LocalLog:
     estimate)."""
     N, d = f.N, f.d
     consts = _places.place_constants(N, d, v)
-    step = delta_step_constant(f, v)
+    step = delta_step_constant(f, v, consts)
     geom = Fraction(d) ** (-k) / (1 - Fraction(1, d))
     tail = step.scaled(deg * geom)
     c1_geom = Fraction(d) ** (-N * (k + 1)) / (1 - Fraction(d) ** (-N))
@@ -517,7 +557,10 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     with the certified tail bound as error.
 
     mode 'exact' iterates primitive integer forms to k at any place,
-    raising BitBudgetError past DEFAULT_BIT_BUDGET coefficient bits.  The
+    raising BitBudgetError at a step whose components (terms of D_i, m_i)
+    have sum_i m_i * bits(max |c| of D_i) over DEFAULT_BIT_BUDGET
+    (_check_budget); at a prime where A is integral the estimate never
+    multiplies the components.  The
     default, None, is that at a finite place; at infinity it is exact while
     exact_fits admits _inf_steps_ahead, then the float orbit from D for
     N <= 2 (_scaled_estimate), else BitBudgetError with the depth the exact

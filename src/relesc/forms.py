@@ -296,11 +296,13 @@ def _shear(cur: dict, ui: int, uj: int, base: int, p: int) -> dict:
     return out
 
 
-def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> tuple[dict, int]:
+def _subst_raw(terms: dict, ops: Sequence[tuple], n: int) -> tuple[dict, int]:
     """(s * F(M X), s) for F the sparse form in n variables given by terms,
-    M invertible over Q and s a positive integer, so F(M X) is the first
+    M invertible over Q given by its elementary operations ops =
+    _elementary(M, n), and s a positive integer, so F(M X) is the first
     item over s.  Exact for any coefficient type, and integer coefficients
-    stay integers.
+    stay integers.  A caller that substitutes one M many times splits it
+    once.
 
     M is split into swaps, scalings and shears (_elementary).  A scaling
     X_i -> (a/b) X_i multiplies the coefficient of X_i^e by a^e b^(deg-e)
@@ -321,7 +323,7 @@ def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> tuple[dict, int]:
         cur = {key: v * pw[key // unit[i] % base] for key, v in cur.items()}
         s *= b ** deg
 
-    for kind, i, j, t in _elementary(M, n):
+    for kind, i, j, t in ops:
         if kind == "swap":
             ui, uj = unit[i], unit[j]
             cur = {key + (key // uj % base - key // ui % base) * (ui - uj): c
@@ -338,6 +340,18 @@ def _subst_raw(terms: dict, M: Sequence[Sequence], n: int) -> tuple[dict, int]:
     return _unpack(cur, base, n), s
 
 
+def _packed_pow(a: dict, m: int) -> dict:
+    """a^m for m >= 1 by left-to-right repeated squaring: one
+    _packed_square per bit of m below the top one, and one _packed_mul by
+    a per further set bit."""
+    acc = a
+    for bit in bin(m)[3:]:
+        acc = _packed_square(acc)
+        if bit == "1":
+            acc = _packed_mul(acc, a)
+    return acc
+
+
 def _product_raw(factors: Sequence[tuple[dict, int]], n: int) -> dict:
     """prod_i F_i^(m_i) on raw terms, for (terms of F_i, m_i) pairs of
     nonzero forms in n variables and m_i >= 1; the coefficient type is
@@ -347,9 +361,8 @@ def _product_raw(factors: Sequence[tuple[dict, int]], n: int) -> dict:
     base = sum(sum(next(iter(terms))) * m for terms, m in factors) + 1
     acc = None
     for terms, m in factors:
-        packed = _pack(terms, base)
-        for _ in range(m):
-            acc = packed if acc is None else _packed_mul(acc, packed)
+        power = _packed_pow(_pack(terms, base), m)
+        acc = power if acc is None else _packed_mul(acc, power)
     return _unpack(acc, base, n)
 
 
@@ -379,7 +392,7 @@ def compose_linear(F: HomogeneousForm, M: Sequence[Sequence[Fraction]]) -> Homog
         raise UsageError(f"matrix must be {n}x{n}")
     if F.is_zero():
         return F
-    terms, s = _subst_raw(F.terms, M, n)
+    terms, s = _subst_raw(F.terms, _elementary(M, n), n)
     return HomogeneousForm(n, F.degree, {e: c / s for e, c in terms.items()})
 
 
@@ -456,16 +469,26 @@ def _circulant_det(parts: list[dict]) -> dict:
     return _berkowitz_det([[parts[(j - i) % p] for j in range(p)] for i in range(p)])
 
 
-def pushforward_terms(terms: dict, d: int, n: int) -> dict:
+def pushforward_terms(terms: dict, d: int, n: int,
+                      twisted: Sequence[int] | None = None) -> dict:
     """Raw-terms phi_* product of the terms of a homogeneous form in n
     variables (see power_pushforward); coefficient type is preserved, so
-    integer inputs stay in Z throughout."""
+    integer inputs stay in Z throughout.
+
+    twisted, when given, is a nonempty set of the twisted variables
+    (indices below n - 1) that holds every one the form contains, and the
+    norm runs over those alone: the mu_d norm in an x the form does not
+    contain is the form to the d-th power, so the full push-forward is the
+    result to the power d^(n - 1 - len(twisted)).  The degree is then
+    deg * d^(len(twisted) - 1).  None twists all n - 1 variables."""
     if not terms:
         return {}
-    base = sum(next(iter(terms))) * d ** (n - 1) + 1
+    if twisted is None:
+        twisted = range(n - 1)  # X_n is not twisted
+    base = sum(next(iter(terms))) * d ** len(twisted) + 1
     cur = _pack(terms, base)
     primes = factorization(d)
-    for var in range(n - 1):  # X_n is not twisted
+    for var in twisted:
         shift, stride = base ** var, 1
         for p in primes:
             # F(zeta x) = sum_r zeta^r P_r, P_r the terms whose exponent of x,

@@ -8,11 +8,12 @@ import pytest
 from relesc import divisors
 from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _lambda_terms,
                              _push_raw, _raw_terms, _scaled_estimate,
-                             critical_divisor, delta_estimate, exact_fits,
+                             canonical_form, critical_divisor, delta_estimate,
+                             exact_fits,
                              delta_relative_critical, lambda_local, mu_local,
                              pullback_map, pullback_translation,
                              pushforward_map, unicritical_map)
-from relesc.forms import (HomogeneousForm as HF, _subst_raw, compose_linear,
+from relesc.forms import (HomogeneousForm as HF, _elementary, _subst_raw, compose_linear,
                           power_pullback, power_pushforward, pushforward_terms,
                           slice_form)
 from relesc.heights import map_bad_primes
@@ -393,7 +394,8 @@ def _component_map(N, d):
 
 def _component_divisors(f):
     """(D, multiplicities of its components): C_f, X1^2 X2,
-    X1 (X1 + 2 X2 + 3 X3 ...), a generic line and a form of degree 0."""
+    X1 (X1 + 2 X2 + 3 X3 ...), a generic line, X1 X_{N+1}, which contains
+    H, and a form of degree 0."""
     n = f.N + 1
 
     def e(*ones):
@@ -404,8 +406,30 @@ def _component_divisors(f):
         (Divisor(HF(n, 3, {e(0, 0, 1): Q(1)})), [2, 1]),
         (Divisor(HF(n, 2, {e(0, j): Q(j + 1) for j in range(n)})), [1, 1]),
         (Divisor(HF(n, 1, {e(j): Q([3, -1, 5, 2][j]) for j in range(n)})), [1]),
+        (Divisor(HF(n, 2, {e(0, n - 1): Q(1)})), [1, 1]),
         (Divisor(HF(n, 0, {e(): Q(7)})), [1]),
     ]
+
+
+def _full_push(f, terms):
+    """One step of the form layer on the whole form, independent of the
+    orbit's components: (G', r) with G' the integer terms of
+    canonical_form(compose_linear(power_pushforward(F, d), L_inv)) and r
+    the ratio of its leading coefficient to the substituted form's.  The
+    norm over all N twisted variables is taken on the integer terms, as
+    power_pushforward takes it on F's Fractions, which is 4x dearer."""
+    n = f.N + 1
+    deg = sum(next(iter(terms))) * f.d ** (f.N - 1)
+    G = compose_linear(HF(n, deg, pushforward_terms(terms, f.d, n)), f.L_inv)
+    C = canonical_form(G)
+    top = max(C.terms)
+    return {e: c.numerator for e, c in C.terms.items()}, C.terms[top] / G.terms[top]
+
+
+def _slice0_vals(terms, primes):
+    """v_p of the content of slice 0 of the integer terms, at each p."""
+    bottom = [c for e, c in terms.items() if not e[-1]]
+    return {p: min(vp(c, p) for c in bottom) for p in primes}
 
 
 class TestExactOrbit:
@@ -424,7 +448,7 @@ class TestExactOrbit:
                     break
                 G = pushforward_terms(terms, f.d, n)
                 assert content(G.values()) == 1  # Gauss's content lemma
-                T, s = _subst_raw(G, f.L_inv, n)
+                T, s = _subst_raw(G, _elementary(f.L_inv, n), n)
                 g = content(T.values())
                 assert s * den_L ** sum(next(iter(G))) % g == 0
                 if T[max(T)] < 0:
@@ -486,7 +510,8 @@ class TestExactOrbit:
     @pytest.mark.parametrize("N, d, k", [(1, 2, 4), (1, 3, 3), (2, 2, 3),
                                          (2, 3, 2), (3, 2, 1), (3, 3, 1)])
     def test_components_step_like_the_product(self, N, d, k):
-        # the component orbit against one _push_raw of the whole form a step
+        # the reduced component orbit against one full push of the whole
+        # form a step, by the form layer
         f = _component_map(N, d)
         places = [Place(p) for p in map_bad_primes(f)]
         cases = _component_divisors(f)
@@ -496,34 +521,149 @@ class TestExactOrbit:
             # X1^2 X2 contains H at N = 1, where no valuation is carried
             tracked = [] if D.contains_hyperplane_at_infinity() else places
             terms = _raw_terms(D)
-            vals = {v.p: _lambda_terms(terms, v).r for v in tracked}
+            primes = [v.p for v in tracked]
             orbit = ExactOrbit(f, D, tracked)
-            assert orbit.vals == vals
+            assert orbit.vals == _slice0_vals(terms, primes)
             for _ in range(k):
-                terms, r = _push_raw(f, terms)
-                vals = {p: vp(r, p) + d ** N * v for p, v in vals.items()}
+                terms, r = _full_push(f, terms)
                 assert orbit.step() == r
                 assert orbit.terms == terms
-                assert orbit.vals == vals
+                assert orbit.vals == _slice0_vals(terms, primes)
                 assert content(terms.values()) == 1 and terms[max(terms)] > 0
 
-    def test_pushes_one_component_at_a_time(self, monkeypatch):
-        # on C_f no _push_raw input is above the degree of one hyperplane's
-        # iterate, d^((N-1) j) at depth j
-        push, degs = divisors._push_raw, []
+    # the degrees of the _push_raw inputs of C_f's components at each
+    # depth under the unipotent _component_map: after one step X_i's image
+    # holds the u = N - i + 1 variables x_i, ..., x_N of row i of A^{-1},
+    # and then its degree grows by d^(u-1) a step, while X_N's stays a line
+    UNIPOTENT_PUSH_DEGREES = {
+        (2, 3, 3): [[1, 1], [1, 1], [3, 1]],
+        (3, 2, 3): [[1, 1, 1], [1, 1, 1], [4, 2, 1]],
+        (2, 2, 5): [[1, 1], [1, 1], [2, 1], [4, 1], [8, 1]],
+    }
 
-        def counted(f, terms):
-            degs.append(sum(next(iter(terms))))
-            return push(f, terms)
+    def test_pushes_one_component_at_a_time(self, monkeypatch):
+        push, calls = divisors._push_raw, []
+
+        def counted(f, terms, twisted=None):
+            calls.append((sum(next(iter(terms))), twisted, terms))
+            return push(f, terms, twisted)
 
         monkeypatch.setattr(divisors, "_push_raw", counted)
-        for N, d, k in ((2, 3, 2), (3, 2, 2), (2, 2, 4)):
-            f = _component_map(N, d)
+        for N, d, k in self.UNIPOTENT_PUSH_DEGREES:
+            self._check_pushes(calls, N, d, k)
+
+    def _check_pushes(self, calls, N, d, k):
+        unipotent = _component_map(N, d)
+        diagonal = MinCritMap(N, d, [[Q(int(i == j)) for j in range(N)]
+                                     for i in range(N)], unipotent.b)
+        for f in (diagonal, unipotent):
             orbit = ExactOrbit(f, critical_divisor(f))
+            degs = []
             for j in range(k):
-                degs.clear()
+                calls.clear()
                 orbit.step()
-                assert degs == [d ** ((N - 1) * j)] * N
+                degs.append([deg for deg, _, _ in calls])
+                # each push runs over exactly the twisted variables its
+                # input contains, and the multiplicities keep the degree
+                # of f_*^(j+1) C_f
+                for _, twisted, terms in calls:
+                    assert twisted == tuple(v for v in range(N)
+                                            if any(e[v] for e in terms))
+                assert sum(m * sum(next(iter(c))) for c, m in orbit.components) \
+                    == N * (d - 1) * d ** ((N - 1) * (j + 1))
+                if f is diagonal:
+                    # every component stays a line in (x_i, X_{N+1}), of
+                    # multiplicity (d-1) d^((N-1)(j+1))
+                    assert [tw for _, tw, _ in calls] == [(i,) for i in range(N)]
+                    assert [m for _, m in orbit.components] == \
+                        [(d - 1) * d ** ((N - 1) * (j + 1))] * N
+                else:
+                    # the last one stays a line in (x_N, X_{N+1})
+                    assert calls[-1][1] == (N - 1,)
+                    assert all(not any(e[:N - 1]) for e in calls[-1][2])
+            if f is diagonal:
+                assert degs == [[1] * N] * k
+            else:
+                assert degs == self.UNIPOTENT_PUSH_DEGREES[N, d, k]
+
+    @pytest.mark.parametrize("d, A, b, k", [
+        (2, SL2_SAMPLES[0], [Q(12, 13), Q(-6, 11)], 5),
+        (2, SL2_SAMPLES[1], [Q(5, 11), Q(-7, 13)], 5),
+        (2, [[2, 1], [1, 1]], [Q(55, 59), Q(-1, 2)], 4),
+        (3, SL2_SAMPLES[1], [Q(1, 2), Q(-1, 3)], 3),
+    ], ids=["I2", "U2", "A211", "U3"])
+    def test_reduced_orbit_is_the_full_push(self, d, A, b, k):
+        # C_f's reduced components against one full push of the product a
+        # step: terms, r and the carried valuations at every depth
+        f = MinCritMap(2, d, A, b)
+        primes = sorted(map_bad_primes(f))
+        orbit = ExactOrbit(f, critical_divisor(f), [Place(p) for p in primes])
+        terms = orbit.terms
+        for _ in range(k):
+            terms, r = _full_push(f, terms)
+            assert orbit.step() == r
+            assert orbit.vals == _slice0_vals(terms, primes)
+            assert orbit.terms == terms
+        assert set(orbit.vals) == set(primes) and any(orbit.vals.values())
+
+    def test_exact_estimate_at_p_forms_no_product(self, monkeypatch):
+        # at a tracked prime lam reads the carried valuation, so the
+        # components are never multiplied
+        f = MinCritMap(2, 2, SL2_SAMPLES[1], [Q(5, 11), Q(-7, 13)])
+        C = critical_divisor(f)
+        terms = _raw_terms(C)
+        for _ in range(4):
+            terms, _ = _full_push(f, terms)
+        want = _slice0_vals(terms, [11])[11]
+
+        def refused(*a, **kw):
+            raise AssertionError("_product_raw called")
+
+        monkeypatch.setattr(divisors, "_product_raw", refused)
+        est = delta_estimate(f, C, 4, Place(11), "exact")
+        assert est.value.r == Q(want, 2 ** 8)
+        with pytest.raises(AssertionError, match="_product_raw called"):
+            delta_estimate(f, C, 4, INF, "exact")
+
+    def test_budget_rule_stops_where_the_product_check_did(self, monkeypatch):
+        # N=1 orbits have one component of multiplicity 1 here, so the
+        # component rule is the old check on the iterate's largest
+        # coefficient: it refuses the first step whose iterate is over
+        f = unicritical_map(2, Q(12345, 7))
+        D = Divisor.point(Q(0))
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 64)
+        terms, depth = _raw_terms(D), 0
+        while max(abs(c) for c in terms.values()).bit_length() <= 64:
+            terms, _ = _full_push(f, terms)
+            depth += 1
+        assert depth == 4
+        orbit = ExactOrbit(f, D, [P5])
+        for _ in range(depth - 1):
+            orbit.step()
+        with pytest.raises(BitBudgetError):
+            orbit.step()
+        assert orbit.depth == depth - 1
+        with pytest.raises(BitBudgetError):
+            delta_estimate(f, D, depth, P5, mode="exact")
+        assert delta_estimate(f, D, depth - 1, P5, mode="exact").iterations_used == depth - 1
+
+    def test_budget_rule_reads_the_components(self, monkeypatch):
+        # C_f at N=2: sum_i m_i bits(D_i) is the bit length of the product
+        # of the components' largest coefficients, read without the product
+        f = _component_map(2, 2)
+        orbit = ExactOrbit(f, critical_divisor(f))
+        orbit.step()
+        orbit.step()
+        bits = sum(m * max(abs(c) for c in t.values()).bit_length()
+                   for t, m in orbit.components)
+        top = max(abs(c) for c in orbit.terms.values()).bit_length()
+        assert top <= bits
+        monkeypatch.setattr(divisors, "_product_raw", None)
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", bits)
+        divisors._check_budget(orbit.components)
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", bits - 1)
+        with pytest.raises(BitBudgetError):
+            divisors._check_budget(orbit.components)
 
     def test_failed_step_leaves_a_multi_component_orbit(self, monkeypatch):
         f = _component_map(2, 3)

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from relesc.divisors import MinCritMap, critical_divisor, pushforward_map
-from relesc.forms import (HomogeneousForm as HF, _acc_add, _pack, _packed_mul,
-                          _subst_raw, _unpack, compose_linear, form_product,
+from relesc.forms import (HomogeneousForm as HF, _acc_add, _elementary, _pack,
+                          _packed_mul, _product_raw, _subst_raw, _unpack, compose_linear, form_product,
                           power_pullback, power_pushforward, pushforward_terms,
                           slice_form)
 from relesc.rational import UsageError, det_exact
@@ -97,6 +97,22 @@ class TestProduct:
             assert form_product(fs).terms == naive_product(fs)
             assert form_product([HF.unit(n), HF.unit(n)]) == HF.unit(n)
 
+    def test_powers_by_squaring(self):
+        # _product_raw raises each factor to its multiplicity by repeated
+        # squaring; the reference multiplies it in m times
+        rng = random.Random(11)
+        for n in (2, 3):
+            fs = [{e: c.numerator for e, c in rand_form(rng, n, deg, maxterms=3).terms.items()}
+                  for deg in (1, 1, 2)]
+            for ms in ((1, 2, 1), (3, 1, 5), (64, 1, 1), (7, 33, 2), (1, 64, 13)):
+                factors = list(zip(fs, ms))
+                base = sum(sum(next(iter(t))) * m for t, m in factors) + 1
+                acc = {0: 1}
+                for t, m in factors:
+                    for _ in range(m):
+                        acc = _packed_mul(acc, _pack(t, base))
+                assert _product_raw(factors, n) == _unpack(acc, base, n)
+
     def test_associative_commutative(self):
         rng = random.Random(3)
         a, b, c = (rand_form(rng, 2, 2) for _ in range(3))
@@ -155,7 +171,7 @@ def horner_subst(terms, M, n):
 
 def shear_subst(terms, M, n):
     """_subst_raw with its scalar divided out."""
-    out, s = _subst_raw(terms, M, n)
+    out, s = _subst_raw(terms, _elementary(M, n), n)
     assert s > 0
     return {e: Q(c) / s for e, c in out.items()}
 
@@ -189,7 +205,7 @@ class TestSubstRaw:
             F = rand_form(rng, 3, 4, maxterms=8)
             terms = {e: c.numerator for e, c in F.terms.items()}
             M = [[int(x) for x in row] for row in rand_matrix(rng, 3)]
-            out, s = _subst_raw(terms, M, 3)
+            out, s = _subst_raw(terms, _elementary(M, 3), 3)
             assert all(isinstance(c, int) and c % s == 0 for c in out.values())
             assert {e: c // s for e, c in out.items()} == horner_subst(terms, M, 3)
 
@@ -233,7 +249,7 @@ class TestSubstRaw:
         assert shear_subst(pushed, f.L_inv, 3) == horner_subst(pushed, f.L_inv, 3)
 
     def test_empty_and_constant(self):
-        assert _subst_raw({}, [[1, 0], [0, 1]], 2) == ({}, 1)
+        assert _subst_raw({}, _elementary([[1, 0], [0, 1]], 2), 2) == ({}, 1)
         assert shear_subst({(0, 0): 7}, [[0, 2], [3, 0]], 2) == {(0, 0): 7}
 
 
