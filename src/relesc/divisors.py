@@ -241,8 +241,8 @@ def _push_raw(f: MinCritMap, terms: dict,
     hyperplane's iterate, or a cofactor's), not their product.
 
     twisted, when given, holds every twisted variable x_v (v < N) that F
-    contains, and the push runs over those u variables
-    alone (pushforward_terms): then f_* [F] = d^(N - u) [G'], and r is the
+    contains, and the push runs over those u variables alone
+    (pushforward_terms): then f_* [F] = d^(N - u) [G'], and r is the
     d^(N - u)-th root of the full push's scalar.  With u = 0 (H, or a form
     of degree 0) F is kept and r = 1, with f_* [F] = d^(N - 1) [F]: L^{-1}
     fixes X_{N+1}.  None pushes all N variables.

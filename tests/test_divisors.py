@@ -416,8 +416,9 @@ def _full_push(f, terms):
     orbit's components: (G', r) with G' the integer terms of
     canonical_form(compose_linear(power_pushforward(F, d), L_inv)) and r
     the ratio of its leading coefficient to the substituted form's.  The
-    norm over all N twisted variables is taken on the integer terms, as
-    power_pushforward takes it on F's Fractions, which is 4x dearer."""
+    norm over all N twisted variables is pushforward_terms on the integer
+    terms: what power_pushforward computes on F's Fraction coefficients,
+    at a quarter of the cost."""
     n = f.N + 1
     deg = sum(next(iter(terms))) * f.d ** (f.N - 1)
     G = compose_linear(HF(n, deg, pushforward_terms(terms, f.d, n)), f.L_inv)
