@@ -364,9 +364,9 @@ def _check_norm_sumprod(inst: Instance):
     A, B = inst.divisors[0].form, inst.divisors[1].form
     prod = form_product([A, B])
     delta = prod.degree
-    # a second product of the same total degree; it equals A*B, so the sum
-    # is 2AB and the check never sees cancellation between products
-    C = form_product([B, A])
+    # a second product of the same degree, from forms sampled at the same
+    # degrees as A and B
+    C = form_product([D.form for D in inst.mu_divisors[:2]])
     total = prod + C
     if total.is_zero():
         lhs = LocalLog.neg_inf(v)

@@ -161,16 +161,12 @@ def divisor_content_primes(D: Divisor) -> list[int]:
 
 
 def auto_places(f: MinCritMap, D: Divisor, bad: list[int]) -> list[Place]:
-    """The finite place set outside which every local contribution and
-    every tail constant vanishes exactly: infinity, the small primes where
-    the per-place constants can be nonzero, primes in the denominators of
-    the map data, and primes dividing the content of the slice-0 form.
-    (The small primes contribute zero whenever L is integral there; they
-    are carried through the zero-cost shortcut.)  bad is map_bad_primes(f),
-    which the caller needs too."""
-    ps = set(primes_upto(constants_prime_bound(f.N, f.d)))
-    ps.update(bad, divisor_content_primes(D))
-    return [INF] + [Place(p) for p in sorted(ps)]
+    """The places whose local term can be nonzero: infinity, the primes in
+    the denominators of the map data (bad, map_bad_primes(f), which the
+    caller needs too) and the primes dividing the content of the slice-0
+    form.  At any other prime L is integral with unit norm, so the tail is
+    0, and lambda_p(D) = 0 since the form is primitive."""
+    return [INF] + [Place(p) for p in sorted(set(bad) | set(divisor_content_primes(D)))]
 
 
 def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,

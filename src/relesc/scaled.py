@@ -2,41 +2,35 @@
 
 Pushing a divisor forward k times scales log||F|| by d^{kN}, so raw
 coefficients overflow/underflow any fixed-precision format almost
-immediately.  This backend stores a homogeneous form in X_1..X_{N+1} slice
-by slice in the last variable.  Slice s is a dense numpy array over the
-exponents of X_1..X_{N-1} (0-d for N = 1, a vector for N = 2, a matrix for
-N = 3), the exponent of X_N being implied by the degree, together with a
-log-scale offset; it is renormalized to unit max-norm after every
-operation.  lambda and the Gauss log-norm only need coefficient ratios, so
-the offsets carry all the magnitude information.
+immediately.  This backend, for N = 1 and 2, stores a homogeneous form in
+X_1..X_{N+1} slice by slice in the last variable.  Slice s is a dense numpy
+array over the exponent of X_1 for N = 2 (0-d for N = 1), the exponent of
+X_N being implied by the degree, together with a log-scale offset; it is
+renormalized to unit max-norm after every operation.  lambda and the Gauss
+log-norm only need coefficient ratios, so the offsets carry all the
+magnitude information.
 
 compose_lshape works on slabs: a batch of forms of one degree t held as one
-zero-padded array with a batch axis, a slice axis and N-1 exponent axes of
-length t+1, beside a (batch, slice) array of offsets in which -inf marks an
-absent slice.  Nested Horner over X_1..X_N is one Horner chain per head of
-X_1..X_{j-1} exponents at each level j.  The chains of a level are
-independent and every live one has degree t at step t, so a level advances
-as one slab, its chains ordered so that the live ones are a prefix; the
-chains that finish at step t are the next level's step-t summands.  That is
-a few dozen array operations per step instead of a handful per chain and
-slice.  The output is bit-identical to the per-slice Horner this replaced:
-each element is summed in its order (the X_{N+1} part, then X_1..X_{N-1},
-then X_N; a sum's left side first), and the offset factors and logs go
-through math.exp / math.log entry by entry as there, since np.exp and
-np.log round differently from them on some platforms.
+zero-padded array with a batch axis, a slice axis and, for N = 2, an X_1
+exponent axis of length t+1, beside a (batch, slice) array of offsets in
+which -inf marks an absent slice.  Nested Horner over X_1..X_N is one Horner
+chain per head of X_1..X_{j-1} exponents at each level j: one chain in X_1,
+and for N = 2 one chain in X_2 per exponent of X_1.  The chains of a level
+are independent and every live one has degree t at step t, so a level
+advances as one slab, its chains ordered so that the live ones are a
+prefix; the chains that finish at step t are the next level's step-t
+summands.  That is a few dozen array operations per step instead of a
+handful per chain and slice.  Its rounding is not in any error bound.
 
 A slice of a degree-D form holds (D - s + 1)^(N-1) floats and the degree
 grows like d^{N-1} per push-forward step, which is why
-divisors.delta_estimate runs the float orbit only for N <= 2, and refuses
-a step whose step_bytes is over its budget.
+divisors.delta_estimate refuses a step whose step_bytes is over its budget.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
-from operator import sub
 
 import numpy as np
 
@@ -64,113 +58,76 @@ def _renorm(off: float, arr: np.ndarray):
     m = _max_abs(arr)
     if m == 0.0 or not math.isfinite(m):
         return None
-    # asarray keeps N = 1 slices 0-d arrays, so they multiply through the
-    # same ufunc loops as longer slices rather than numpy's scalar math
-    return (off + math.log(m), np.asarray(arr / m))
+    return (off + math.log(m), arr / m)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product of two slices: full convolution over every axis."""
-    if a.ndim == 1:
-        return np.convolve(a, b)
-    if a.ndim == 0:
-        # not a * b: np.convolve's complex product is a BLAS dot, which
-        # rounds differently from a complex multiply
-        return np.convolve(a, b).reshape(())
-    out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
-                   dtype=np.result_type(a, b))
-    for i, row in enumerate(a):
-        for j, col in enumerate(b):
-            out[i + j] += _convolve(row, col)
-    return out
+    """The product of two slices: scalars for N = 1, vectors for N = 2."""
+    return np.convolve(a, b) if a.ndim else a * b
 
 
 # -- slabs: batches of forms of one degree ------------------------------------
 
 def _exp_diff(x: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """exp(x - o) by math.exp, entry by entry, where x is finite; 0 where x
-    is -inf.  Where x == o the factor is exp(0) = 1, written directly."""
+    """exp(x - o) where x is finite, 0 where x is -inf (an absent row)."""
+    f = np.zeros(x.shape)
     live = x != _NEG_INF
-    f = (live & (x == o)).astype(np.float64)
-    need = live & (x != o)
-    f[need] = list(map(math.exp, (x[need] - o[need]).tolist()))
+    f[live] = np.exp(x[live] - o[live])
     return f
 
 
-def _renorm_rows(acc: np.ndarray, o: np.ndarray, rows=True) -> np.ndarray:
-    """Scale the rows of acc (its leading axes are those of o) picked by
-    rows to unit max-norm in place and return the new offsets; a picked row
-    whose max is 0 or not finite gets offset -inf and is zeroed.  The other
-    rows keep their values and their offsets o."""
+def _renorm_rows(acc: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Scale the rows of acc (its leading axes are those of o) to unit
+    max-norm in place and return their new offsets; a row whose max is 0
+    or not finite gets offset -inf and is zeroed."""
     # max |x| as max(max x, -min x): the same float, without an |acc| copy
     box = tuple(range(o.ndim, acc.ndim))
     m = np.maximum(np.maximum.reduce(acc, axis=box), -np.minimum.reduce(acc, axis=box))
-    finite = np.isfinite(m)
-    keep = rows & (m != 0) & finite
-    out = np.where(rows, _NEG_INF, o)
-    out[keep] = o[keep] + list(map(math.log, m[keep].tolist()))
-    acc /= np.where(keep, m, 1.0).reshape(m.shape + (1,) * (acc.ndim - o.ndim))
-    bad = rows & ~finite
-    if bad.any():
-        acc[bad] = 0
+    keep = np.isfinite(m) & (m != 0)
+    out = np.full(o.shape, _NEG_INF)
+    out[keep] = o[keep] + np.log(m[keep])
+    acc /= np.where(keep, m, 1.0).reshape(m.shape + (1,) * len(box))
+    acc[~keep] = 0
     return out
 
 
 def _add_rows(X: np.ndarray, O: np.ndarray, Y: np.ndarray, P: np.ndarray) -> None:
-    """X, O += Y, P in place, row by row (the leading axes are those of O).
-    A row present on one side only passes through as it is: its sum is that
-    side times 1 plus an all-zero row, and it is not renormalized.
-
-    X is scaled in place rather than added to zeros: one side of a present
-    row has factor 1 and holds no -0.0, so no element's sign of zero or
-    value changes."""
+    """X, O += Y, P in place, row by row (the leading axes are those of O)."""
     o = np.maximum(O, P)
     to_rows = o.shape + (1,) * (X.ndim - O.ndim)
     X *= _exp_diff(O, o).reshape(to_rows)
     X += Y * _exp_diff(P, o).reshape(to_rows)
-    O[...] = _renorm_rows(X, o, (O != _NEG_INF) & (P != _NEG_INF))
+    O[...] = _renorm_rows(X, o)
 
 
 def _mul_linear_rows(A: np.ndarray, O: np.ndarray, off_l: float, coeffs):
-    """Multiply each form of a degree-(t-1) slab (A of shape (B, t, t, ...),
-    offsets O of shape (B, t)) by exp(off_l) * (c[0] X_1 + ... + c[N]
-    X_{N+1}), coeffs of max-norm <= 1; returns the degree-t slab.
+    """Multiply each form of a degree-(t-1) slab (A of shape (B, t), or
+    (B, t, t) for N = 2, offsets O of shape (B, t)) by exp(off_l) * (c[0]
+    X_1 + ... + c[N] X_{N+1}), coeffs of max-norm <= 1; returns the
+    degree-t slab.
 
-    Slice s of a product gathers the X_{N+1} part of slice s-1, then the
-    X_1..X_{N-1} parts (the index moves up one axis) and the X_N part (the
-    implied exponent grows) of slice s.  A zero coefficient adds no part
-    and so takes no part in the slice's offset."""
+    Slice s of a product gathers the X_{N+1} part of slice s-1, the X_N
+    part of slice s (the implied exponent grows) and, for N = 2, its X_1
+    part (the index moves up).  A zero coefficient takes no part in the
+    slice's offset."""
     N = len(coeffs) - 1
     B, t = O.shape
-    src = O + off_l
-    absent = np.full((B, 1), _NEG_INF)
-    up = np.concatenate((absent, src), axis=1)
-    same = np.concatenate((src, absent), axis=1)
-    if coeffs[N] == 0:
-        up[:] = _NEG_INF
-    if not np.any(coeffs[:N]):
-        same[:] = _NEG_INF
-    o = np.maximum(up, same)
-    acc = np.zeros((B, t + 1) + (t + 1,) * (N - 1),
-                   dtype=np.result_type(A, coeffs))
-    to_rows = (B, t) + (1,) * (N - 1)
-    corner = (slice(0, t),) * (N - 1)
-    parts = []  # (coefficient, offset factors, where in acc), in summing order
+    up = np.full((B, t + 1), _NEG_INF)  # the offsets of the X_{N+1} parts
+    same = up.copy()  # and of the X_1..X_N parts
     if coeffs[N] != 0:
-        parts.append((coeffs[N], _exp_diff(up, o)[:, 1:],
-                      (slice(None), slice(1, None)) + corner))
-    f = _exp_diff(same, o)[:, :t]
-    for i in range(N - 1):
-        if coeffs[i] != 0:
-            at = corner[:i] + (slice(1, None),) + corner[i + 1:]
-            parts.append((coeffs[i], f, (slice(None), slice(0, t)) + at))
-    if coeffs[N - 1] != 0:
-        parts.append((coeffs[N - 1], f, (slice(None), slice(0, t)) + corner))
-    part = np.empty(A.shape, dtype=acc.dtype)
-    for c, fac, at in parts:  # acc[at] += (A * c) * fac with one temporary
-        np.multiply(A, c, out=part)
-        part *= fac.reshape(to_rows)
-        acc[at] += part
+        up[:, 1:] = O + off_l
+    if np.any(coeffs[:N]):
+        same[:, :t] = O + off_l
+    o = np.maximum(up, same)
+    to_rows = (B, t) + (1,) * (N - 1)
+    f_up = _exp_diff(up, o)[:, 1:].reshape(to_rows)
+    f = _exp_diff(same, o)[:, :t].reshape(to_rows)
+    acc = np.zeros((B, t + 1) + (t + 1,) * (N - 1), dtype=np.result_type(A, coeffs))
+    corner = (slice(0, t),) * (N - 1)
+    acc[(slice(None), slice(1, None)) + corner] += coeffs[N] * f_up * A
+    acc[(slice(None), slice(0, t)) + corner] += coeffs[N - 1] * f * A
+    if N == 2:
+        acc[:, :t, 1:] += coeffs[0] * f * A
     return acc, _renorm_rows(acc, o)
 
 
@@ -198,31 +155,18 @@ def step_bytes(N: int, d: int, degree: int) -> int:
     return max(peak, 5 * 8 * widest)
 
 
-def _chain_heads(N: int, D: int) -> np.ndarray:
-    """The heads (e_1, ..., e_{N-1}) of the innermost Horner chains of a
-    degree-D form, by total degree and, within one, in the order of their
-    parents (the heads with the last exponent dropped).  The chains live at
-    step t are then the first comb(D - t + N - 1, N - 1), and the last
-    comb(D - t + N - 2, N - 2) of those, which finish at t, line up with
-    the live parents one level up."""
-    order = [()]
-    for _ in range(N - 1):
-        order = [h + (n - sum(h),) for n in range(D + 1) for h in order
-                 if sum(h) <= n]
-    return np.array(order, dtype=np.intp).reshape(len(order), N - 1)
-
-
 class SlicedForm:
     """slices[s] = (offset, arr); the true coefficient of
-    X_1^e_1 ... X_{N-1}^e_{N-1} X_N^(deg-s-e_1-...-e_{N-1}) X_{N+1}^s
-    is exp(offset) * arr[e_1, ..., e_{N-1}], arr of shape (deg-s+1,)*(N-1).
+    X_1^e X_2^(deg-s-e) X_3^s (N = 2) is exp(offset) * arr[e], arr of
+    length deg-s+1, and that of X_1^(deg-s) X_2^s (N = 1) is
+    exp(offset) * arr, arr 0-d.
     """
 
     __slots__ = ("N", "degree", "slices")
 
     def __init__(self, N: int, degree: int, slices: dict):
-        if N < 1:
-            raise UsageError("scaled forms need N >= 1")
+        if N not in (1, 2):
+            raise UsageError("scaled forms serve N = 1 and 2 only")
         self.N = N
         self.degree = degree
         self.slices = slices
@@ -267,23 +211,6 @@ class SlicedForm:
             s: (float(offs[0, s]), arr[(0, s) + (slice(0, D - s + 1),) * (N - 1)].copy())
             for s in range(D + 1) if offs[0, s] != _NEG_INF})
 
-    def _gather(self, deg: int, buckets: dict) -> "SlicedForm":
-        """The degree-deg form whose slice s is the sum of buckets[s], a list
-        of parts (offset, arr, at): each part is brought to the largest
-        offset and added into the slice array at index at, and the sum is
-        renormalized."""
-        slices = {}
-        for s, parts in buckets.items():
-            o = max(p[0] for p in parts)
-            acc = np.zeros((deg - s + 1,) * (self.N - 1),
-                           dtype=np.result_type(*(p[1] for p in parts)))
-            for po, parr, at in parts:
-                acc[at] += parr * math.exp(po - o)
-            ren = _renorm(o, acc)
-            if ren is not None:
-                slices[s] = ren
-        return SlicedForm(self.N, deg, slices)
-
     # -- norms -------------------------------------------------------------
 
     def slice_log_norm(self, s: int) -> float:
@@ -311,9 +238,15 @@ class SlicedForm:
         buckets: dict[int, list] = {}
         for s1, (o1, a1) in self.slices.items():
             for s2, (o2, a2) in other.slices.items():
-                buckets.setdefault(s1 + s2, []).append(
-                    (o1 + o2, _convolve(a1, a2), ...))
-        return self._gather(self.degree + other.degree, buckets)
+                buckets.setdefault(s1 + s2, []).append((o1 + o2, _convolve(a1, a2)))
+        slices = {}
+        for s, parts in buckets.items():
+            # each part brought to the largest offset, the sum renormalized
+            o = max(po for po, _ in parts)
+            ren = _renorm(o, sum(a * math.exp(po - o) for po, a in parts))
+            if ren is not None:
+                slices[s] = ren
+        return SlicedForm(self.N, self.degree + other.degree, slices)
 
     # -- power-map push-forward ----------------------------------------------
 
@@ -322,10 +255,7 @@ class SlicedForm:
         slices = {}
         for s, (o, arr) in self.slices.items():
             idx = np.indices(arr.shape, sparse=True)
-            # the implied X_N exponent, deg - s - e_1 - ... - e_{N-1}, stays a
-            # plain int for N = 1: Python's complex power rounds differently
-            # from numpy's
-            exps = idx[var] if var < arr.ndim else reduce(sub, idx, self.degree - s)
+            exps = idx[var] if var < arr.ndim else self.degree - s - sum(idx)
             slices[s] = (o, arr * zeta ** exps)
         return SlicedForm(self.N, self.degree, slices)
 
@@ -379,7 +309,6 @@ class SlicedForm:
                 raise UsageError("zero row in matrix")
             off = _log_abs_fraction(big)
             lins.append((off, np.array([float(x / big) for x in M[i]])))
-        heads = _chain_heads(N, D)
         arr, offs = self.to_slab()
         dtype = arr.dtype
         # the chains of level j (0-based) are in l_{j+1}; before step 0 none
@@ -393,7 +322,8 @@ class SlicedForm:
                 A, O = _mul_linear_rows(*levels[j], *lins[j])
                 if j == N - 1:
                     if offs[0, t] != _NEG_INF:  # the term c X_{N+1}^t of each chain
-                        c = arr[0, t][tuple(heads[:live].T)].reshape(live)
+                        # chain e_1 (N = 2) takes the X_1^e_1 entry of slice t
+                        c = arr[0, t].reshape(-1)[:live]
                         term = np.zeros((live,) + (t + 1,) * (N - 1), dtype=dtype)
                         term[(slice(None),) + (0,) * (N - 1)] = c
                         _add_rows(A[:, t], O[:, t], term,

@@ -8,7 +8,8 @@ from relesc.divisors import critical_divisor, delta_estimate
 from relesc.harness import (_CHECKS, LEMMA_IDS, _abs_le, _eq, _le,
                             audit_constants, check, default_profiles,
                             random_instance, run_suite)
-from relesc.places import ARCH_SLACK, INF, LocalLog, Place
+from relesc.forms import form_product
+from relesc.places import ARCH_SLACK, INF, LocalLog, Place, gauss_norm_log
 from relesc.rational import UsageError
 
 
@@ -55,6 +56,18 @@ class TestChecks:
             res = check(lemma, inst)
             assert res.lemma == lemma
             assert res.holds or res.vacuous is False
+
+    def test_norm_sumprod_sums_two_products(self):
+        # the left side is log||AB + A'B'|| for two pairs of forms sampled at
+        # the same degrees, not log||2AB||
+        for seed, profile in ((7, default_profiles()[0]), (3, default_profiles()[2])):
+            inst = random_instance(seed, profile)
+            A, B = (D.form for D in inst.divisors[:2])
+            A2, B2 = (D.form for D in inst.mu_divisors[:2])
+            assert A2.degree + B2.degree == A.degree + B.degree
+            total = form_product([A, B]) + form_product([A2, B2])
+            lhs = float(gauss_norm_log(total, inst.place).to_mpf())
+            assert check("NORM_SUMPROD", inst).lhs == lhs
 
     def test_unknown_lemma(self):
         inst = random_instance(7, default_profiles()[0])

@@ -139,7 +139,7 @@ class TestRelativeCanonicalHeight:
         assert {e.iterations_used for e in primes.per_place.values()} == {alone}
         g = relative_canonical_height(f, D, k)
         assert g.per_place["inf"].mode == "exact"
-        assert {e.iterations_used for e in g.per_place.values()} == {0, k}
+        assert {e.iterations_used for e in g.per_place.values()} == {k}
         # oracle: the relative height of the k-th push-forward
         G = D
         for _ in range(k):

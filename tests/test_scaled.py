@@ -1,7 +1,7 @@
-"""The float backend SlicedForm against the exact form operations, for
-every N it is written for (the layout is the same code for N = 1, 2, 3),
-and its slab compose_lshape against the per-slice Horner it replaced, bit
-for bit."""
+"""The float backend SlicedForm against the exact form operations for the
+N it serves, 1 and 2 (it refuses N = 3), its slab compose_lshape against
+the per-slice Horner it replaced, to float rounding, and its orbit against
+the exact truncation at infinity."""
 
 import math
 import random
@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from relesc.divisors import (SCALED_STEP_BYTES, Divisor, MinCritMap,
-                             critical_divisor, delta_estimate, lambda_local,
-                             pushforward_map)
+                             _scaled_estimate, critical_divisor, delta_estimate,
+                             lambda_local, pushforward_map)
 from relesc.forms import (HomogeneousForm as HF, compose_linear, form_product,
                           power_pushforward)
 from relesc.heights import relative_critical_height
@@ -28,16 +28,17 @@ from relesc.scaled import (SlicedForm, _log_abs_fraction, _mul_linear_rows,
 
 CASES = [(N, d) for N in (1, 2, 3) for d in (2, 3)]
 REL_TOL = 1e-9
+# slab against per-slice Horner, the same sums in another order: float64
+# rounding of a degree-D Horner is about D * 1.1e-16 of the sums of
+# absolute values (at most 7.1e-15 on the cases below, degree <= 32)
+CLOSE = 1e-12
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class PerSliceHorner(SlicedForm):
     """The per-slice nested Horner that compose_lshape ran before it worked
-    on slabs, kept as the oracle of its bits: one mul_linear or add per
-    chain step, each gathering slice by slice.  One change: add takes the
-    slices in ascending order.  It took them in set order, which for sparse
-    forms of degree >= 10 could hand mul_linear slice s before slice s - 1
-    and so add the X_{N+1} part of slice s after its own parts."""
+    on slabs, kept as its reference: one mul_linear or add per chain step,
+    each gathering slice by slice, in ascending slice order."""
 
     def _gather(self, deg: int, buckets: dict, keep_single=False) -> "PerSliceHorner":
         slices = {}
@@ -126,14 +127,37 @@ def horner_compose(S, M):
     return out
 
 
-def assert_same_bits(S, T):
-    """Equal degree, slices, offsets and array bytes."""
+def assert_compose_close(S, M):
+    """The slab compose_lshape of S by M is the per-slice Horner's."""
+    R = absolute(S).compose_lshape([[abs(x) for x in row] for row in M])
+    assert_close(S.compose_lshape(M), horner_compose(S, M), R)
+
+
+def absolute(S):
+    """S with every coefficient replaced by its absolute value."""
+    return SlicedForm(S.N, S.degree, {s: (o, np.abs(a)) for s, (o, a) in S.slices.items()})
+
+
+def assert_close(S, T, R):
+    """S and T are the same form within CLOSE of each slice's max norm in R,
+    the same operation on absolute values: a slice can cancel far below
+    the terms it sums, and their rounding stays."""
     assert (S.N, S.degree) == (T.N, T.degree)
-    assert sorted(S.slices) == sorted(T.slices)
-    for s, (o, a) in S.slices.items():
-        p, b = T.slices[s]
-        assert float(o).hex() == float(p).hex(), s
-        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), s
+    for s in set(S.slices) | set(T.slices):
+        top = R.slice_log_norm(s)
+        a, b = (U.slices[s][1] * math.exp(U.slices[s][0] - top) if s in U.slices else 0.0
+                for U in (S, T))
+        assert np.max(np.abs(a - b)) <= CLOSE, s
+
+
+def served(N):
+    """Whether the float layout serves N; it must refuse N = 3, which only
+    the exact orbit reads."""
+    if N <= 2:
+        return True
+    with pytest.raises(UsageError, match="N = 1 and 2 only"):
+        SlicedForm(N, 1, {})
+    return False
 
 
 def random_form(rng, n, degree, terms=6):
@@ -186,6 +210,8 @@ def assert_matches(S, F):
 
 @pytest.mark.parametrize("N,d", CASES)
 def test_mul_linear_is_form_product(N, d):
+    if not served(N):
+        return
     rng = random.Random(100 * N + d)
     F = random_form(rng, N + 1, d)
     lin = [Q(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(N + 1)]
@@ -198,11 +224,14 @@ def test_mul_linear_is_form_product(N, d):
     L = HF(N + 1, 1, {tuple(int(i == j) for j in range(N + 1)): c
                       for i, c in enumerate(lin)})
     assert_matches(P, form_product([F, L]))
-    assert_same_bits(P, PerSliceHorner(N, S.degree, S.slices).mul_linear(off, coeffs))
+    R = SlicedForm.from_slab(N, *_mul_linear_rows(*absolute(S).to_slab(), off, abs(coeffs)))
+    assert_close(P, PerSliceHorner(N, S.degree, S.slices).mul_linear(off, coeffs), R)
 
 
 @pytest.mark.parametrize("N,d", CASES)
 def test_compose_lshape_is_compose_linear(N, d):
+    if not served(N):
+        return
     rng = random.Random(200 * N + d)
     F = random_form(rng, N + 1, d)
     M = random_lshape(rng, N + 1)
@@ -211,13 +240,17 @@ def test_compose_lshape_is_compose_linear(N, d):
 
 @pytest.mark.parametrize("N,d", CASES)
 def test_power_push_is_power_pushforward(N, d):
+    if not served(N):
+        return
     rng = random.Random(300 * N + d)
-    F = random_form(rng, N + 1, 2 if N < 3 else 1)
+    F = random_form(rng, N + 1, 2)
     assert_matches(SlicedForm.from_form(F).power_push(d), power_pushforward(F, d))
 
 
 @pytest.mark.parametrize("N,d", CASES)
 def test_one_step_lambda_is_exact(N, d):
+    if not served(N):
+        return
     rng = random.Random(400 * N + d)
     A = [[Q(int(i == j)) for j in range(N)] for i in range(N)]
     if N > 1:
@@ -228,6 +261,32 @@ def test_one_step_lambda_is_exact(N, d):
     S = SlicedForm.from_form(D.form).power_push(d).compose_lshape(f.L_inv)
     want = float(lambda_local(pushforward_map(f, D), INF).to_mpf())
     assert abs(S.lam() - want) <= REL_TOL * max(1.0, abs(want))
+
+
+def test_sliced_form_refuses_n3():
+    F = random_form(random.Random(3), 4, 2)
+    with pytest.raises(UsageError, match="N = 1 and 2 only"):
+        SlicedForm.from_form(F)
+
+
+@pytest.mark.parametrize("A,b", [
+    # the N = 2 heights of the global-heights benchmark at seeds 11 and 12
+    ([[1, 0], [0, 1]], (Q(-2, 11), Q(-23, 13))),
+    ([[1, 1], [0, 1]], (Q(-1, 13), Q(-19, 11))),
+    ([[1, 1], [0, 1]], (Q(-8, 11), Q(-17, 13))),
+    ([[1, 0], [0, 1]], (Q(12, 13), Q(-6, 11))),
+    ([[1, 1], [0, 1]], (Q(15, 11), Q(-23, 13))),
+    ([[1, 1], [0, 1]], (Q(9, 11), Q(-20, 13))),
+    ([[2, 1], [1, 1]], (Q(1, 2), Q(-1, 3))),
+])
+def test_float_orbit_within_radius_of_exact(A, b):
+    """At k = 5 the float orbit's rounding (about 1e-2 on these maps) stays
+    inside its radius (about 1.1) around the exact truncation."""
+    f = MinCritMap(2, 2, A, list(b))
+    C = critical_divisor(f)
+    est = _scaled_estimate(f, C, 5)
+    exact = delta_estimate(f, C, 5, INF, mode="exact").value.to_mpf()
+    assert abs(est.value.to_mpf() - exact) <= est.error.to_mpf()
 
 
 def test_scaled_mode_refused_promptly_at_n3():
@@ -267,11 +326,11 @@ def sparse_form(rng, n, degree):
 def compose_cases(N, d, rng):
     """(form, matrix) pairs: dense, pushed and sparse forms against a random
     L-shape, an identity A with a zero coordinate in b (so the X_{N+1}
-    coefficient of a row is 0) and, for N >= 2, a unipotent A."""
+    coefficient of a row is 0) and, for N = 2, a unipotent A."""
     F = random_form(rng, N + 1, d)
     forms = [SlicedForm.from_form(F),
-             SlicedForm.from_form(random_form(rng, N + 1, 1 if N == 3 else 2)).power_push(d),
-             SlicedForm.from_form(sparse_form(rng, N + 1, 6 if N == 3 else 14))]
+             SlicedForm.from_form(random_form(rng, N + 1, 2)).power_push(d),
+             SlicedForm.from_form(sparse_form(rng, N + 1, 14))]
     I = [[Q(int(i == j)) for j in range(N)] for i in range(N)]
     b = [Q(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for _ in range(N)]
     b[rng.randrange(N)] = Q(0)
@@ -285,19 +344,22 @@ def compose_cases(N, d, rng):
 
 @pytest.mark.parametrize("N,d", CASES)
 def test_slab_compose_is_per_slice_horner(N, d):
+    if not served(N):
+        return
     for S, M in compose_cases(N, d, random.Random(500 * N + d)):
-        assert_same_bits(S.compose_lshape(M), horner_compose(S, M))
+        assert_compose_close(S, M)
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_slab_sums_parts_in_slice_order(N):
-    """Sparse forms of degree 14 and 20, where the per-slice code's set
-    order used to reach mul_linear out of order (see PerSliceHorner)."""
+    """Sparse forms of degree 14, whose Horner chains start late and whose
+    slice sets have gaps."""
+    if not served(N):
+        return
     for seed in range(8):
         rng = random.Random(seed)
-        S = SlicedForm.from_form(sparse_form(rng, N + 1, 14 if N == 2 else 20))
-        M = random_lshape(rng, N + 1)
-        assert_same_bits(S.compose_lshape(M), horner_compose(S, M))
+        S = SlicedForm.from_form(sparse_form(rng, N + 1, 14))
+        assert_compose_close(S, random_lshape(rng, N + 1))
 
 
 @pytest.mark.parametrize("A", [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])
@@ -309,8 +371,8 @@ def test_slab_compose_bits_on_bench_cells(A, b):
     S = SlicedForm.from_form(critical_divisor(f).form)
     for _ in range(4):
         P = S.power_push(2)
+        assert_compose_close(P, f.L_inv)
         S = P.compose_lshape(f.L_inv)
-        assert_same_bits(S, horner_compose(P, f.L_inv))
 
 
 def test_step_budget_admits_bench_depths_only():
