@@ -22,7 +22,7 @@ from .forms import (HomogeneousForm, _elementary, _product_raw, _subst_raw,
                     compose_linear, form_product, power_pullback,
                     pushforward_terms, slice_form)
 from . import places as _places
-from .places import (LocalLog, Place, gauss_norm_log, local_min,
+from .places import (INF, LocalLog, Place, gauss_norm_log, local_min,
                      log_plus_int, matrix_lambda, matrix_norm_log)
 from .rational import (BitBudgetError, DomainError, UsageError, content,
                        det_exact, lcm_denominators, matrix_inverse_exact,
@@ -32,13 +32,15 @@ from .scaled import SlicedForm, step_bytes
 DEFAULT_BIT_BUDGET = 1 << 20
 # the float orbit refuses a step predicted to need more memory than this
 SCALED_STEP_BYTES = 1 << 30
-# exact_fits' bound on an iterate's coefficient bits, terms x bits.
-# Re-measured past it on C_f (2-core Xeon, Python 3.11, no gmpy2; A = I or
-# [[1,1],[0,1]], b in {(1/2, -1/3), (5/11, -7/13), (2, -1/2)}): N=2, d=2,
-# k=5 takes 0.01-0.42 s exact and 0.12-0.20 s on the float orbit, which
-# agrees to 2e-10; N=2, d=3, k=3 takes 0.03-2.3 s exact and 0.74-1.08 s
-# float, which is 1e-2 to 1.2e-1 off.  The value stays: moving it moves
-# the benchmark digests that read such depths.
+# exact_fits' bound on an iterate's coefficient bits, terms x bits, and
+# _components_fit's on the sum over the reduced components of one step.
+# Past it an N=2 infinity reads the float product of the components: on six
+# N=2, d=2 global-heights maps at k=5 (A = I or [[1,1],[0,1]], b = (a/11,
+# c/13); best of 5, 2-core Xeon, Python 3.11, no gmpy2) the components take
+# 0.3-4.2 ms and their float product 4.3-4.5 ms, against 54 ms for the float
+# orbit from D and 3.6 ms (A = I) to 146 ms for the exact product.  The
+# value stays: moving it moves the benchmark digests that read the exact
+# product.
 EXACT_STEP_BITS = 1 << 20
 
 
@@ -325,7 +327,7 @@ class ExactOrbit:
     terms, the primitive integer terms of the canonical form of f_*^depth D,
     is the product prod_i (D_i')^(m_i') (_product_raw, by repeated
     squaring), formed the first time it is read at a depth; lam at a
-    tracked prime never reads it.  Five facts make terms and r
+    prime and float_lam never read it.  Five facts make terms and r
     bit-identical to one full _push_raw of the product form:
     - the mu_d norm in a variable x of a form without x is its d-th
       power, so the full push of D_i is the reduced one to d^(N - u);
@@ -392,10 +394,30 @@ class ExactOrbit:
         return r
 
     def lam(self, v: Place) -> LocalLog:
-        """lambda_v of the current iterate."""
+        """lambda_v of the current iterate: at infinity off terms, at a
+        tracked prime the carried valuation, and at any other prime
+        sum_i m_i lambda_p(D_i), +inf if a component contains H.  That sum
+        is exact (Gauss's lemma): slice 0 of the product is the product of
+        the components' slices 0, and the p-adic content is
+        multiplicative."""
+        if v.is_arch:
+            return _lambda_terms(self.terms, v)
         if v.p in self.vals:
             return LocalLog.padic(v, self.vals[v.p])
-        return _lambda_terms(self.terms, v)
+        parts = [(_lambda_terms(c, v), m) for c, m in self.components]
+        if any(lam.kind == "pos" for lam, _ in parts):
+            return LocalLog.pos_inf(v)
+        return LocalLog.padic(v, sum(m * lam.r for lam, m in parts))
+
+    def float_lam(self) -> float:
+        """lambda at infinity of the current iterate, read off one float
+        product of the components, each a SlicedForm raised to its
+        multiplicity by squaring (N = 1 and 2); terms is not formed."""
+        S = None
+        for c, m in self.components:
+            power = SlicedForm.from_terms(c).pow(m)
+            S = power if S is None else S.mul(power)
+        return S.lam()
 
 
 def pushforward_map(f: MinCritMap, D: Divisor) -> Divisor:
@@ -530,25 +552,74 @@ def truncated_estimate(f: MinCritMap, deg: int, lam: LocalLog, k: int,
                     iterations_used=k, place=v, mode=mode)
 
 
-def exact_fits(f: MinCritMap, terms: dict, steps: int) -> bool:
-    """Whether the exact iterate that many steps past the integer terms
-    given is predicted to hold at most EXACT_STEP_BITS coefficient bits in
-    all (terms x bits).  A step multiplies the degree by d^(N-1), so the
-    number of terms by about d^(N(N-1)), capped at C(deg + N, N), the
-    number of monomials of the iterate's degree deg, and the coefficient
-    bits by d^N.  This is the one size rule for every exact depth:
-    infinity asks it about _inf_steps_ahead, a bad prime about one step."""
+def _predicted_bits(f: MinCritMap, terms: dict, steps: int) -> int:
+    """The coefficient bits in all (terms x bits) predicted for the exact
+    iterate that many steps past the integer terms given.  A step
+    multiplies the degree by d^(N-1), so the number of terms by about
+    d^(N(N-1)), capped at C(deg + N, N), the number of monomials of the
+    iterate's degree deg, and the coefficient bits by d^N."""
     N, d = f.N, f.d
     deg = sum(next(iter(terms))) * d ** ((N - 1) * steps)
     bits = max(abs(c).bit_length() for c in terms.values()) * d ** (N * steps)
     count = min(len(terms) * d ** (N * (N - 1) * steps), comb(deg + N, N))
-    return count * bits <= EXACT_STEP_BITS
+    return count * bits
+
+
+def exact_fits(f: MinCritMap, terms: dict, steps: int) -> bool:
+    """Whether the exact iterate that many steps past the integer terms
+    given is predicted to fit EXACT_STEP_BITS.  This is the one size rule
+    for the exact product: infinity asks it about _inf_steps_ahead, a bad
+    prime about one step."""
+    return _predicted_bits(f, terms, steps) <= EXACT_STEP_BITS
+
+
+def _components_fit(f: MinCritMap, components: list[tuple[dict, int]]) -> bool:
+    """Whether the next step of an orbit's reduced components is predicted
+    to fit EXACT_STEP_BITS: exact_fits' prediction one step ahead, summed
+    over the components (each is pushed by itself, so its multiplicity
+    costs nothing)."""
+    return sum(_predicted_bits(f, c, 1) for c, _ in components) <= EXACT_STEP_BITS
 
 
 def _inf_steps_ahead(f: MinCritMap, depth: int, k: int) -> int:
-    """The steps infinity asks exact_fits about: those left to k where the
-    float orbit can take over (N <= 2), else the next one."""
+    """The steps infinity asks exact_fits about: those left to k where a
+    float read can take over (N <= 2), else the next one."""
     return k - depth if f.N <= 2 else 1
+
+
+def exact_infinity(f: MinCritMap, D: Divisor, orbit: ExactOrbit, k: int,
+                   more=lambda: False) -> Estimate | None:
+    """The exact reads at infinity by the library's rule, stepping orbit
+    (of D) towards k; None where neither reaches k.
+
+    1. While exact_fits admits _inf_steps_ahead, step, and at k read
+       lambda off the exact product (mode 'exact').
+    2. Else, for N = 2 where scaled_depth admits k (the float product has
+       the degree of the k-th iterate, so no more than the float orbit's
+       last step), step while _components_fit admits the next step, and at
+       k read lambda off the float product of the components
+       (ExactOrbit.float_lam, mode 'scaled'; terms is no longer read).
+    Otherwise the orbit is left where it stopped: the caller reads the
+    float orbit from D (N <= 2) or the exact iterate below k.  more() says
+    whether the caller still wants the next step where the product rule
+    does not and read 2 does not apply; it is not asked once read 2 has
+    begun.  A BitBudgetError of a step leaves the orbit where it was."""
+    deg = D.degree
+    components = f.N == 2 and scaled_depth(f.N, f.d, deg, k) == k
+    product = True
+    while orbit.depth < k:
+        if product and exact_fits(f, orbit.terms, _inf_steps_ahead(f, orbit.depth, k)):
+            orbit.step()
+        elif components and _components_fit(f, orbit.components):
+            product = False
+            orbit.step()
+        elif product and more():
+            orbit.step()
+        else:
+            return None
+    if product:
+        return truncated_estimate(f, deg, orbit.lam(INF), k)
+    return truncated_estimate(f, deg, LocalLog.arch(mp.mpf(orbit.float_lam())), k, "scaled")
 
 
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
@@ -559,12 +630,13 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     mode 'exact' iterates primitive integer forms to k at any place,
     raising BitBudgetError at a step whose components (terms of D_i, m_i)
     have sum_i m_i * bits(max |c| of D_i) over DEFAULT_BIT_BUDGET
-    (_check_budget); at a prime where A is integral the estimate never
-    multiplies the components.  The
-    default, None, is that at a finite place; at infinity it is exact while
-    exact_fits admits _inf_steps_ahead, then the float orbit from D for
+    (_check_budget); at a prime the estimate never multiplies the
+    components.  The default, None, is that at a finite place; at infinity
+    it takes the first of three reads that reaches k: the exact product
+    while exact_fits admits it, then for N = 2 the float product of the
+    exact components (both exact_infinity), then the float orbit from D for
     N <= 2 (_scaled_estimate), else BitBudgetError with the depth the exact
-    orbit reaches.  The Estimate's mode says which orbit ran.
+    orbit reaches.  The Estimate's mode says whether a float read ran.
     """
     _check_dim(f, D)
     if k < 0:
@@ -573,18 +645,21 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
         raise DomainError("Delta is undefined for divisors containing H")
     if mode not in (None, "exact"):
         raise UsageError(f"unknown mode {mode!r}")
-    ruled = mode is None and v.is_arch
     orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
+    if mode is None and v.is_arch:
+        try:
+            est = exact_infinity(f, D, orbit, k)
+        except BitBudgetError:
+            est = None
+        if est is not None:
+            return est
+        if f.N >= 3:
+            raise BitBudgetError(f"exact step {orbit.depth + 1} is predicted over "
+                                 f"{EXACT_STEP_BITS} bits; lower k to {orbit.depth}")
+        return _scaled_estimate(f, D, k)
     while orbit.depth < k:
-        if ruled and not exact_fits(f, orbit.terms, _inf_steps_ahead(f, orbit.depth, k)):
-            break
         orbit.step()
-    else:
-        return truncated_estimate(f, D.degree, orbit.lam(v), k)
-    if f.N >= 3:
-        raise BitBudgetError(f"exact step {orbit.depth + 1} is predicted over "
-                             f"{EXACT_STEP_BITS} bits; lower k to {orbit.depth}")
-    return _scaled_estimate(f, D, k)
+    return truncated_estimate(f, D.degree, orbit.lam(v), k)
 
 
 def _scaled_estimate(f: MinCritMap, D: Divisor, k: int) -> Estimate:

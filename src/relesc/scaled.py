@@ -1,4 +1,4 @@
-"""Renormalized floating-point forms for archimedean escape-rate iteration.
+"""Renormalized floating-point forms for archimedean escape rates.
 
 Pushing a divisor forward k times scales log||F|| by d^{kN}, so raw
 coefficients overflow/underflow any fixed-precision format almost
@@ -22,9 +22,18 @@ prefix; the chains that finish at step t are the next level's step-t
 summands.  That is a few dozen array operations per step instead of a
 handful per chain and slice.  Its rounding is not in any error bound.
 
+The backend serves two reads at infinity.  The float orbit from D runs every step
+in floats (power_push, then compose_lshape).  The float product takes the
+reduced components of an exact orbit at depth k, each raised to its
+multiplicity by squaring (from_terms, pow, mul), so only the product is in
+floats; divisors.exact_infinity reads it for N = 2 where the exact product
+is predicted too large.
+
 A slice of a degree-D form holds (D - s + 1)^(N-1) floats and the degree
 grows like d^{N-1} per push-forward step, which is why
-divisors.delta_estimate refuses a step whose step_bytes is over its budget.
+divisors.delta_estimate refuses a step whose step_bytes is over its budget;
+the float product has the degree of the k-th iterate, so exact_infinity
+takes it only where those steps fit.
 """
 
 from __future__ import annotations
@@ -175,12 +184,18 @@ class SlicedForm:
 
     @staticmethod
     def from_form(F: HomogeneousForm) -> "SlicedForm":
-        N = F.num_vars - 1
         if F.is_zero():
             raise UsageError("cannot scale the zero form")
-        deg = F.degree
+        return SlicedForm.from_terms(F.terms)
+
+    @staticmethod
+    def from_terms(terms: dict) -> "SlicedForm":
+        """The form with the nonzero coefficients given (int or Fraction)
+        by exponent tuple."""
+        exps = next(iter(terms))
+        N, deg = len(exps) - 1, sum(exps)
         raw: dict[int, dict[tuple, object]] = {}
-        for exps, c in F.terms.items():
+        for exps, c in terms.items():
             raw.setdefault(exps[-1], {})[exps[:N - 1]] = c
         slices = {}
         for s, bucket in raw.items():
@@ -247,6 +262,17 @@ class SlicedForm:
             if ren is not None:
                 slices[s] = ren
         return SlicedForm(self.N, self.degree + other.degree, slices)
+
+    def pow(self, m: int) -> "SlicedForm":
+        """self^m for m >= 1 by left-to-right repeated squaring: one square
+        per bit of m below the top one, and one mul by self per further set
+        bit."""
+        acc = self
+        for bit in bin(m)[3:]:
+            acc = acc.mul(acc)
+            if bit == "1":
+                acc = acc.mul(self)
+        return acc
 
     # -- power-map push-forward ----------------------------------------------
 

@@ -626,6 +626,30 @@ class TestExactOrbit:
         with pytest.raises(AssertionError, match="_product_raw called"):
             delta_estimate(f, C, 4, INF, "exact")
 
+    def test_lam_at_a_non_integral_prime_reads_the_components(self, monkeypatch):
+        # A = [[1, 1/3], [0, 1]] is not 3-integral, so no valuation is
+        # carried at 3: lambda_3 is sum_i m_i lambda_3(D_i) over the
+        # components, and matches the full push-forward chain without
+        # forming the product
+        f = MinCritMap(2, 2, [[1, Q(1, 3)], [0, 1]], [Q(1, 2), Q(-1, 3)])
+        C = critical_divisor(f)
+        chain, D = [], C
+        for _ in range(4):
+            D = pushforward_map(f, D)
+            chain.append(lambda_local(D, P3).r)
+        assert all(chain)
+
+        def refused(*a, **kw):
+            raise AssertionError("_product_raw called")
+
+        monkeypatch.setattr(divisors, "_product_raw", refused)
+        orbit = ExactOrbit(f, C, [P3])
+        assert orbit.vals == {}
+        for want in chain:
+            orbit.step()
+            assert orbit.lam(P3).r == want
+        assert delta_estimate(f, C, 4, P3, "exact").value.r == chain[-1] / 2 ** 8
+
     def test_budget_rule_stops_where_the_product_check_did(self, monkeypatch):
         # N=1 orbits have one component of multiplicity 1 here, so the
         # component rule is the old check on the iterate's largest

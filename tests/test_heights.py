@@ -277,13 +277,53 @@ class TestRelativeCanonicalHeight:
         orbit.step()
         assert not exact_fits(f, orbit.terms, 1)
 
-    def test_bench_like_n2_bad_primes_keep_depth_4(self):
-        # N=2, d=2, A in {I, [[1,1],[0,1]]}, b = (a/11, c/13): exact_fits
-        # stops both primes at depth 4 at the default k=5
+    def test_bench_like_n2_bad_primes_read_depth_5(self):
+        # N=2, d=2, A in {I, [[1,1],[0,1]]}, b = (a/11, c/13): infinity
+        # steps the reduced components to the default k=5, and both primes
+        # read that depth; infinity's float product of the components is
+        # the exact truncation's value to 1e-12
         for f in BENCH_LIKE_N2:
             g = relative_critical_height(f)
-            assert g.per_place["11"].iterations_used == 4
-            assert g.per_place["13"].iterations_used == 4
+            assert [est.iterations_used for est in g.per_place.values()] == [5, 5, 5]
+            assert list(g.per_place) == ["inf", "11", "13"]
+            inf = g.per_place["inf"]
+            exact = delta_estimate(f, critical_divisor(f), 5, INF, mode="exact")
+            assert inf.mode == "scaled"
+            assert abs(inf.value.to_mpf() - exact.value.to_mpf()) <= 1e-12
+            assert inf.error.to_mpf() == exact.error.to_mpf()
+
+    def test_component_budget_falls_back_to_the_float_orbit(self, monkeypatch):
+        # components that meet DEFAULT_BIT_BUDGET before k end read 2: both
+        # delta_estimate and the height then read the float orbit from D,
+        # and the height says where its orbit stopped
+        f = BENCH_LIKE_N2[0]
+        C = critical_divisor(f)
+        monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 2000)
+        want = _scaled_estimate(f, C, 5).value.to_mpf()
+        assert delta_estimate(f, C, 5, INF).value.to_mpf() == want
+        g = relative_critical_height(f)
+        assert g.per_place["inf"].value.to_mpf() == want
+        depth = g.per_place["11"].iterations_used
+        assert 1 <= depth < 5
+        assert any(w.startswith(f"exact iterate stops at k={depth}, over bit budget")
+                   for w in g.warnings)
+
+    def test_bench_like_n2_forms_the_product_once(self, monkeypatch):
+        # the product rule at infinity reads the depth-1 iterate, finds k
+        # out of its reach and hands over to the components; from there on
+        # neither infinity nor the bad primes form the product
+        calls = []
+
+        def counted(factors, n):
+            calls.append(n)
+            return product_raw(factors, n)
+
+        product_raw = divisors._product_raw
+        monkeypatch.setattr(divisors, "_product_raw", counted)
+        for f in BENCH_LIKE_N2:
+            calls.clear()
+            relative_critical_height(f)
+            assert len(calls) == 1
 
     def test_bench_like_n2_bad_primes_do_not_warn(self):
         # the size rule, not a budget, stops those primes below k, so

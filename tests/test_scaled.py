@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relesc.divisors import (SCALED_STEP_BYTES, Divisor, MinCritMap,
+from relesc.divisors import (SCALED_STEP_BYTES, Divisor, ExactOrbit, MinCritMap,
                              _scaled_estimate, critical_divisor, delta_estimate,
                              lambda_local, pushforward_map)
-from relesc.forms import (HomogeneousForm as HF, compose_linear, form_product,
-                          power_pushforward)
+from relesc.forms import (HomogeneousForm as HF, _product_raw, compose_linear,
+                          form_product, power_pushforward)
 from relesc.heights import relative_critical_height
 from relesc.places import INF
 from relesc.rational import BitBudgetError, InternalError, UsageError
@@ -269,8 +269,9 @@ def test_sliced_form_refuses_n3():
         SlicedForm.from_form(F)
 
 
-@pytest.mark.parametrize("A,b", [
-    # the N = 2 heights of the global-heights benchmark at seeds 11 and 12
+# the N = 2 heights of the global-heights benchmark at seeds 11 and 12, and
+# one more A, all d = 2 at k = 5
+N2_D2_MAPS = [
     ([[1, 0], [0, 1]], (Q(-2, 11), Q(-23, 13))),
     ([[1, 1], [0, 1]], (Q(-1, 13), Q(-19, 11))),
     ([[1, 1], [0, 1]], (Q(-8, 11), Q(-17, 13))),
@@ -278,7 +279,10 @@ def test_sliced_form_refuses_n3():
     ([[1, 1], [0, 1]], (Q(15, 11), Q(-23, 13))),
     ([[1, 1], [0, 1]], (Q(9, 11), Q(-20, 13))),
     ([[2, 1], [1, 1]], (Q(1, 2), Q(-1, 3))),
-])
+]
+
+
+@pytest.mark.parametrize("A,b", N2_D2_MAPS)
 def test_float_orbit_within_radius_of_exact(A, b):
     """At k = 5 the float orbit's rounding (about 1e-2 on these maps) stays
     inside its radius (about 1.1) around the exact truncation."""
@@ -287,6 +291,36 @@ def test_float_orbit_within_radius_of_exact(A, b):
     est = _scaled_estimate(f, C, 5)
     exact = delta_estimate(f, C, 5, INF, mode="exact").value.to_mpf()
     assert abs(est.value.to_mpf() - exact) <= est.error.to_mpf()
+
+
+@pytest.mark.parametrize("d,A,b,k", [(2, A, b, 5) for A, b in N2_D2_MAPS] + [
+    # the shape of the lemma suite's n2d3-big at infinity: ~114-bit b
+    (3, [[1, 0], [0, 1]], (5 * 2 ** 111, -7 * 2 ** 111), 2),
+])
+def test_float_product_of_components_is_the_exact_product(d, A, b, k):
+    """lambda read off the float product of the exact components is the
+    exact product's to 1e-12 at the escape-rate scale (lambda / d^(Nk)),
+    and the default read at infinity is that float product."""
+    f = MinCritMap(2, d, A, list(b))
+    C = critical_divisor(f)
+    orbit = ExactOrbit(f, C)
+    for _ in range(k):
+        orbit.step()
+    scale = d ** (2 * k)
+    exact = orbit.lam(INF).to_mpf()
+    assert abs(orbit.float_lam() - exact) / scale <= 1e-12
+    est = delta_estimate(f, C, k, INF)
+    assert est.mode == "scaled" and est.iterations_used == k
+    assert abs(est.value.to_mpf() - exact / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("N,m", [(1, 1), (1, 6), (2, 2), (2, 5), (2, 8)])
+def test_pow_is_the_exact_power(N, m):
+    rng = random.Random(500 * N + m)
+    F = random_form(rng, N + 1, 2)
+    terms = {e: c.numerator for e, c in Divisor(F).form.terms.items()}
+    want = HF(N + 1, 2 * m, _product_raw([(terms, m)], N + 1))
+    assert_matches(SlicedForm.from_terms(terms).pow(m), want)
 
 
 def test_scaled_mode_refused_promptly_at_n3():
