@@ -350,7 +350,7 @@ class ExactOrbit:
     A^{-1} is p-integral too and the substitution keeps the p-adic
     content: v <- v_p(r) + d^N v, with no valuation of a large
     coefficient.  Where A is not p-integral the substitution can change the
-    content, so lambda_p is read off the iterate, as at infinity.
+    content, so lambda_p is summed over the components (lam).
     """
 
     __slots__ = ("f", "components", "depth", "vals", "_terms")
@@ -589,28 +589,32 @@ def _inf_steps_ahead(f: MinCritMap, depth: int, k: int) -> int:
 
 def exact_infinity(f: MinCritMap, D: Divisor, orbit: ExactOrbit, k: int,
                    more=lambda: False) -> Estimate | None:
-    """The exact reads at infinity by the library's rule, stepping orbit
-    (of D) towards k; None where neither reaches k.
+    """The two reads at infinity off the exact orbit, by the library's
+    rule, stepping orbit (of D) towards k; None where neither reaches k.
 
     1. While exact_fits admits _inf_steps_ahead, step, and at k read
        lambda off the exact product (mode 'exact').
     2. Else, for N = 2 where scaled_depth admits k (the float product has
-       the degree of the k-th iterate, so no more than the float orbit's
-       last step), step while _components_fit admits the next step, and at
-       k read lambda off the float product of the components
-       (ExactOrbit.float_lam, mode 'scaled'; terms is no longer read).
+       the degree of the k-th iterate, so it needs no more memory than the
+       float orbit's last step), step while _components_fit admits the
+       next step, and at k read lambda off the float product of the
+       components (ExactOrbit.float_lam, mode 'scaled'; terms is no longer
+       read).  scaled_depth is asked once read 1 stops, so a read that
+       stays exact to k does not pay for it.
     Otherwise the orbit is left where it stopped: the caller reads the
     float orbit from D (N <= 2) or the exact iterate below k.  more() says
     whether the caller still wants the next step where the product rule
     does not and read 2 does not apply; it is not asked once read 2 has
     begun.  A BitBudgetError of a step leaves the orbit where it was."""
     deg = D.degree
-    components = f.N == 2 and scaled_depth(f.N, f.d, deg, k) == k
-    product = True
+    product, components = True, None
     while orbit.depth < k:
         if product and exact_fits(f, orbit.terms, _inf_steps_ahead(f, orbit.depth, k)):
             orbit.step()
-        elif components and _components_fit(f, orbit.components):
+            continue
+        if components is None:
+            components = f.N == 2 and scaled_depth(f.N, f.d, deg, k) == k
+        if components and _components_fit(f, orbit.components):
             product = False
             orbit.step()
         elif product and more():
@@ -650,6 +654,8 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
         try:
             est = exact_infinity(f, D, orbit, k)
         except BitBudgetError:
+            if f.N >= 3:
+                raise
             est = None
         if est is not None:
             return est
