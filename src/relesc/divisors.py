@@ -30,17 +30,17 @@ from .rational import (BitBudgetError, DomainError, UsageError, content,
 from .scaled import SlicedForm, step_bytes
 
 DEFAULT_BIT_BUDGET = 1 << 20
-# the float orbit refuses a step predicted to need more memory than this
+# the float read at infinity stops before a step predicted to need more
+# memory than this (scaled_depth)
 SCALED_STEP_BYTES = 1 << 30
 # exact_fits' bound on an iterate's coefficient bits, terms x bits, and
 # _components_fit's on the sum over the reduced components of one step.
-# Past it an N=2 infinity reads the float product of the components: on six
-# N=2, d=2 global-heights maps at k=5 (A = I or [[1,1],[0,1]], b = (a/11,
-# c/13); best of 5, 2-core Xeon, Python 3.11, no gmpy2) the components take
-# 0.3-4.2 ms and their float product 4.3-4.5 ms, against 54 ms for the float
-# orbit from D and 3.6 ms (A = I) to 146 ms for the exact product.  The
-# value stays: moving it moves the benchmark digests that read the exact
-# product.
+# Past it infinity reads in floats off the components: on six N=2, d=2
+# global-heights maps at k=5 (A = I or [[1,1],[0,1]], b = (a/11, c/13);
+# best of 5, 2-core Xeon, Python 3.11, no gmpy2) the components take
+# 0.3-4.2 ms and their float product 4.3-4.5 ms, against 3.6 ms (A = I) to
+# 146 ms for the exact product.  The value stays: moving it moves the
+# benchmark digests that read the exact product.
 EXACT_STEP_BITS = 1 << 20
 
 
@@ -327,7 +327,8 @@ class ExactOrbit:
     terms, the primitive integer terms of the canonical form of f_*^depth D,
     is the product prod_i (D_i')^(m_i') (_product_raw, by repeated
     squaring), formed the first time it is read at a depth; lam at a
-    prime and float_lam never read it.  Five facts make terms and r
+    prime never reads it, and infinity's float read (infinity_estimate)
+    steps the components on in floats instead.  Five facts make terms and r
     bit-identical to one full _push_raw of the product form:
     - the mu_d norm in a variable x of a form without x is its d-th
       power, so the full push of D_i is the reduced one to d^(N - u);
@@ -408,16 +409,6 @@ class ExactOrbit:
         if any(lam.kind == "pos" for lam, _ in parts):
             return LocalLog.pos_inf(v)
         return LocalLog.padic(v, sum(m * lam.r for lam, m in parts))
-
-    def float_lam(self) -> float:
-        """lambda at infinity of the current iterate, read off one float
-        product of the components, each a SlicedForm raised to its
-        multiplicity by squaring (N = 1 and 2); terms is not formed."""
-        S = None
-        for c, m in self.components:
-            power = SlicedForm.from_terms(c).pow(m)
-            S = power if S is None else S.mul(power)
-        return S.lam()
 
 
 def pushforward_map(f: MinCritMap, D: Divisor) -> Divisor:
@@ -567,9 +558,10 @@ def _predicted_bits(f: MinCritMap, terms: dict, steps: int) -> int:
 
 def exact_fits(f: MinCritMap, terms: dict, steps: int) -> bool:
     """Whether the exact iterate that many steps past the integer terms
-    given is predicted to fit EXACT_STEP_BITS.  This is the one size rule
-    for the exact product: infinity asks it about _inf_steps_ahead, a bad
-    prime about one step."""
+    given is predicted to fit EXACT_STEP_BITS.  This is the size rule for
+    the exact product, which only infinity's first read forms
+    (infinity_estimate).  Steps that read no product (the float read's
+    components, the bad primes of a height) ask _components_fit."""
     return _predicted_bits(f, terms, steps) <= EXACT_STEP_BITS
 
 
@@ -581,49 +573,62 @@ def _components_fit(f: MinCritMap, components: list[tuple[dict, int]]) -> bool:
     return sum(_predicted_bits(f, c, 1) for c, _ in components) <= EXACT_STEP_BITS
 
 
-def _inf_steps_ahead(f: MinCritMap, depth: int, k: int) -> int:
-    """The steps infinity asks exact_fits about: those left to k where a
-    float read can take over (N <= 2), else the next one."""
-    return k - depth if f.N <= 2 else 1
+def infinity_estimate(f: MinCritMap, D: Divisor, orbit: ExactOrbit,
+                      k: int) -> Estimate:
+    """lambda at infinity of f_*^j D over d^{jN}, j <= k, by the library's
+    rule, stepping orbit (of D) on; two reads:
+
+    1. While exact_fits admits the steps left to k (N <= 2, where a float
+       read can take over) or the next one (N >= 3), step; read lambda off
+       the exact product at k, or for N >= 3 where the steps stopped (mode
+       'exact').
+    2. Else, for N <= 2, a float read at j = scaled_depth(N, d, deg D, k),
+       or the exact product if read 1 already went past j.  For N = 2 the
+       exact components first step on towards j while _components_fit
+       admits the next step.  Each component then steps on in floats from
+       the orbit's depth to j as ExactOrbit.step does exactly (power_push
+       over the twisted variables it contains, multiplicity times
+       d^(N - max(u, 1)), compose_lshape), and lambda is read off their
+       float product (mode 'scaled').  The orbit is left at its exact depth.
+
+    A BitBudgetError of a step leaves the orbit where it was; for N <= 2 it
+    ends the exact phase, for N >= 3 it is raised."""
+    N, deg = f.N, D.degree
+    try:
+        while orbit.depth < k and exact_fits(f, orbit.terms, k - orbit.depth if N <= 2 else 1):
+            orbit.step()
+    except BitBudgetError:
+        if N >= 3:
+            raise
+    j = orbit.depth if orbit.depth == k or N >= 3 else scaled_depth(N, f.d, deg, k)
+    if orbit.depth >= j:
+        return truncated_estimate(f, deg, orbit.lam(INF), orbit.depth)
+    try:
+        while N == 2 and orbit.depth < j and _components_fit(f, orbit.components):
+            orbit.step()
+    except BitBudgetError:
+        pass
+    lam = _float_lam(f, orbit.components, j - orbit.depth)
+    return truncated_estimate(f, deg, LocalLog.arch(mp.mpf(lam)), j, "scaled")
 
 
-def exact_infinity(f: MinCritMap, D: Divisor, orbit: ExactOrbit, k: int,
-                   more=lambda: False) -> Estimate | None:
-    """The two reads at infinity off the exact orbit, by the library's
-    rule, stepping orbit (of D) towards k; None where neither reaches k.
-
-    1. While exact_fits admits _inf_steps_ahead, step, and at k read
-       lambda off the exact product (mode 'exact').
-    2. Else, for N = 2 where scaled_depth admits k (the float product has
-       the degree of the k-th iterate, so it needs no more memory than the
-       float orbit's last step), step while _components_fit admits the
-       next step, and at k read lambda off the float product of the
-       components (ExactOrbit.float_lam, mode 'scaled'; terms is no longer
-       read).  scaled_depth is asked once read 1 stops, so a read that
-       stays exact to k does not pay for it.
-    Otherwise the orbit is left where it stopped: the caller reads the
-    float orbit from D (N <= 2) or the exact iterate below k.  more() says
-    whether the caller still wants the next step where the product rule
-    does not and read 2 does not apply; it is not asked once read 2 has
-    begun.  A BitBudgetError of a step leaves the orbit where it was."""
-    deg = D.degree
-    product, components = True, None
-    while orbit.depth < k:
-        if product and exact_fits(f, orbit.terms, _inf_steps_ahead(f, orbit.depth, k)):
-            orbit.step()
-            continue
-        if components is None:
-            components = f.N == 2 and scaled_depth(f.N, f.d, deg, k) == k
-        if components and _components_fit(f, orbit.components):
-            product = False
-            orbit.step()
-        elif product and more():
-            orbit.step()
-        else:
-            return None
-    if product:
-        return truncated_estimate(f, deg, orbit.lam(INF), k)
-    return truncated_estimate(f, deg, LocalLog.arch(mp.mpf(orbit.float_lam())), k, "scaled")
+def _float_lam(f: MinCritMap, components: list[tuple[dict, int]], steps: int) -> float:
+    """lambda at infinity of the iterate that many steps past the reduced
+    components (terms of D_i, m_i) given, in floats: each component steps
+    on by itself as in ExactOrbit.step, and lambda is read off the product
+    of the components raised to their multiplicities by squaring."""
+    N, d = f.N, f.d
+    product = None
+    for c, m in components:
+        S = SlicedForm.from_terms(c)
+        for _ in range(steps):
+            twisted = S.twisted_vars()
+            if twisted:
+                S = S.power_push(d, twisted).compose_lshape(f.L_inv)
+            m *= d ** (N - max(len(twisted), 1))
+        S = S.pow(m)
+        product = S if product is None else product.mul(S)
+    return product.lam()
 
 
 def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
@@ -636,11 +641,10 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
     have sum_i m_i * bits(max |c| of D_i) over DEFAULT_BIT_BUDGET
     (_check_budget); at a prime the estimate never multiplies the
     components.  The default, None, is that at a finite place; at infinity
-    it takes the first of three reads that reaches k: the exact product
-    while exact_fits admits it, then for N = 2 the float product of the
-    exact components (both exact_infinity), then the float orbit from D for
-    N <= 2 (_scaled_estimate), else BitBudgetError with the depth the exact
-    orbit reaches.  The Estimate's mode says whether a float read ran.
+    it is infinity_estimate, the exact product or the float read off the
+    exact orbit's components, and a read below k raises BitBudgetError with
+    the depth to ask for.  The Estimate's mode says whether a float read
+    ran.
     """
     _check_dim(f, D)
     if k < 0:
@@ -651,36 +655,18 @@ def delta_estimate(f: MinCritMap, D: Divisor, k: int, v: Place,
         raise UsageError(f"unknown mode {mode!r}")
     orbit = ExactOrbit(f, D, () if v.is_arch else (v,))
     if mode is None and v.is_arch:
-        try:
-            est = exact_infinity(f, D, orbit, k)
-        except BitBudgetError:
-            if f.N >= 3:
-                raise
-            est = None
-        if est is not None:
-            return est
-        if f.N >= 3:
-            raise BitBudgetError(f"exact step {orbit.depth + 1} is predicted over "
-                                 f"{EXACT_STEP_BITS} bits; lower k to {orbit.depth}")
-        return _scaled_estimate(f, D, k)
+        est = infinity_estimate(f, D, orbit, k)
+        j = est.iterations_used
+        if j < k and est.mode == "scaled":
+            raise BitBudgetError(f"scaled step {j + 1} is predicted to need over "
+                                 f"{SCALED_STEP_BYTES >> 20} MiB; lower k to {j}")
+        if j < k:
+            raise BitBudgetError(f"exact step {j + 1} is predicted over "
+                                 f"{EXACT_STEP_BITS} bits; lower k to {j}")
+        return est
     while orbit.depth < k:
         orbit.step()
     return truncated_estimate(f, D.degree, orbit.lam(v), k)
-
-
-def _scaled_estimate(f: MinCritMap, D: Divisor, k: int) -> Estimate:
-    """The float orbit at infinity, N <= 2: renormalized SlicedForm steps
-    from D, refused up front (BitBudgetError) when a step is predicted to
-    need more than SCALED_STEP_BYTES.  Its radius covers the truncation
-    tail, not float rounding."""
-    j = scaled_depth(f.N, f.d, D.degree, k)
-    if j < k:  # refuse before allocating anything
-        raise BitBudgetError(f"scaled step {j + 1} is predicted to need over "
-                             f"{SCALED_STEP_BYTES >> 20} MiB; lower k to {j}")
-    S = SlicedForm.from_form(D.form)
-    for _ in range(k):
-        S = S.power_push(f.d).compose_lshape(f.L_inv)
-    return truncated_estimate(f, D.degree, LocalLog.arch(mp.mpf(S.lam())), k, "scaled")
 
 
 def delta_relative_critical(f: MinCritMap, k: int, v: Place) -> Estimate:

@@ -17,20 +17,18 @@ from math import factorial
 import mpmath as mp
 
 from .divisors import (Divisor, Estimate, ExactOrbit, MinCritMap, _check_dim,
-                       _scaled_estimate, critical_divisor, exact_fits,
-                       exact_infinity, lambda_local, scaled_depth, slice_form,
-                       truncated_estimate)
+                       _components_fit, critical_divisor, infinity_estimate,
+                       lambda_local, slice_form, truncated_estimate)
 from . import places as _places
 from .places import INF, LocalLog, Place, constants_prime_bound
 from .rational import (BitBudgetError, DomainError, UsageError, content,
                        lcm_denominators, prime_factors, primes_upto, vp)
 
-# a bad prime asks for the next step while exact_fits admits it, and at
-# most this deep; it reads deeper where infinity steps the orbit further.
-# For N >= 2 exact_fits always stops first, but an N=1 orbit
-# stays small: the size rule alone would take the critical height of
-# z^2 - 17/(999983 * 1000003) from depth 8 (0.8 ms of orbit) to depth 14
-# (13 ms; 2 cores, Python 3.11), for a tail that is O(log p) * d^-k
+# a bad prime asks for the next step while _components_fit admits it, and
+# at most this deep; it reads deeper where infinity steps the orbit further.
+# An N=1 orbit stays small: the size rule alone would take the critical
+# height of z^2 - 17/(999983 * 1000003) from depth 8 (0.8 ms of orbit) to
+# depth 14 (13 ms; 2 cores, Python 3.11), for a tail that is O(log p) * d^-k
 PADIC_K_MAX = 8
 
 
@@ -175,17 +173,16 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     """hat{h}_f(D) - hat{h}_{f|H}(D|_H) = sum_v Delta_{f,v}(D) over places
     (default auto_places), truncated, with the certified tails as error.
 
-    D is pushed exactly once.  Infinity steps the orbit by
-    divisors.exact_infinity, the rule of delta_estimate, and the bad primes
-    ask for a further step while exact_fits admits the next iterate, below
-    PADIC_K_MAX, until infinity has turned to the components (read 2),
-    which then carry them to k.  The bad primes read lambda_v at the
-    orbit's last depth.  Infinity reads whichever exact read reached k; else
-    the exact iterate below k for N >= 3, or the float orbit from D at the
-    deepest depth <= k predicted to fit for N <= 2.  At every other place
+    D is pushed exactly once.  Infinity is read first, by
+    divisors.infinity_estimate, the rule of delta_estimate.  The bad primes
+    then ask for further steps while the orbit's depth is below k and
+    PADIC_K_MAX and _components_fit admits the next step, and read lambda_v
+    at the orbit's last depth: the carried valuation, or the sum over the
+    components, so no product is formed for them.  At every other place
     Delta_v(D) = lambda_v(D) exactly.  A warning is added by infinity read
     below k, by a float read at infinity (its radius does not cover float
-    rounding) and by an orbit stopped by its bit budget.
+    rounding) and by an orbit stopped by its bit budget; for N >= 3
+    infinity then reads the exact iterate where the orbit stopped.
 
     The iterate is an ExactOrbit: each step's content is a gcd seeded with
     s * den(L)^deg, a small multiple of it (_push_raw), and at each bad
@@ -205,30 +202,26 @@ def relative_canonical_height(f: MinCritMap, D: Divisor, k: int | None = None,
     bad_places = [v for v in places if not v.is_arch and v.p in bad]
     warnings: list[str] = []
     orbit = ExactOrbit(f, D, bad_places)
-
-    def padic_wants() -> bool:
-        return bool(bad_places) and orbit.depth < PADIC_K_MAX and exact_fits(f, orbit.terms, 1)
-
     inf_est = None
     try:
         if INF in places:
-            inf_est = exact_infinity(f, D, orbit, k, padic_wants)
-        else:
-            while orbit.depth < k and padic_wants():
-                orbit.step()
+            inf_est = infinity_estimate(f, D, orbit, k)
+        while (bad_places and orbit.depth < min(k, PADIC_K_MAX)
+               and _components_fit(f, orbit.components)):
+            orbit.step()
     except BitBudgetError as exc:
         warnings.append(f"exact iterate stops at k={orbit.depth}, over bit budget: {exc}")
+    if INF in places and inf_est is None:
+        inf_est = infinity_estimate(f, D, orbit, orbit.depth)
 
     value = mp.mpf(0)
     err = mp.mpf(0)
     per_place: dict[str, Estimate] = {}
     for v in places:
-        if v.is_arch and inf_est is not None:
+        if v.is_arch:
             est = inf_est
-        elif v in bad_places or v.is_arch and f.N >= 3:
+        elif v in bad_places:
             est = truncated_estimate(f, D.degree, orbit.lam(v), orbit.depth)
-        elif v.is_arch:
-            est = _scaled_estimate(f, D, scaled_depth(f.N, f.d, D.degree, k))
         else:
             # L is v-integral with unit norm: the per-step constant is 0,
             # so Delta_v(D) = lambda_v(D) exactly

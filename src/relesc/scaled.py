@@ -22,18 +22,16 @@ prefix; the chains that finish at step t are the next level's step-t
 summands.  That is a few dozen array operations per step instead of a
 handful per chain and slice.  Its rounding is not in any error bound.
 
-The backend serves two reads at infinity.  The float orbit from D runs every step
-in floats (power_push, then compose_lshape).  The float product takes the
-reduced components of an exact orbit at depth k, each raised to its
-multiplicity by squaring (from_terms, pow, mul), so only the product is in
-floats; divisors.exact_infinity reads it for N = 2 where the exact product
-is predicted too large.
+The backend serves the float read at infinity (divisors.infinity_estimate).
+It takes the reduced components of an exact orbit where the exact steps
+stopped, steps each one on by itself (from_terms, power_push over the
+twisted variables it contains, compose_lshape), and reads lambda off their
+product, each raised to its multiplicity by squaring (pow, mul).
 
 A slice of a degree-D form holds (D - s + 1)^(N-1) floats and the degree
-grows like d^{N-1} per push-forward step, which is why
-divisors.delta_estimate refuses a step whose step_bytes is over its budget;
-the float product has the degree of the k-th iterate, so exact_infinity
-takes it only where those steps fit.
+grows like d^{N-1} per push-forward step, which is why the float read stops
+at divisors.scaled_depth, the deepest depth whose steps step_bytes predicts
+to fit; the float product has the degree of that iterate.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import math
 
 import numpy as np
 
-from .forms import HomogeneousForm
 from .rational import InternalError, UsageError
 
 _NEG_INF = float("-inf")
@@ -183,12 +180,6 @@ class SlicedForm:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_form(F: HomogeneousForm) -> "SlicedForm":
-        if F.is_zero():
-            raise UsageError("cannot scale the zero form")
-        return SlicedForm.from_terms(F.terms)
-
-    @staticmethod
     def from_terms(terms: dict) -> "SlicedForm":
         """The form with the nonzero coefficients given (int or Fraction)
         by exponent tuple."""
@@ -285,12 +276,27 @@ class SlicedForm:
             slices[s] = (o, arr * zeta ** exps)
         return SlicedForm(self.N, self.degree, slices)
 
-    def power_push(self, d: int) -> "SlicedForm":
-        """phi_* : the root-of-unity product with exponents divided by d."""
+    def twisted_vars(self) -> tuple[int, ...]:
+        """The twisted variables v < N whose X_{v+1} has a nonzero
+        coefficient, as ExactOrbit.step reads them off exact terms."""
+        N, used = self.N, set()
+        for s, (_, arr) in self.slices.items():
+            e = np.flatnonzero(arr)  # the X_1 exponents for N = 2
+            if N == 2 and e[-1] > 0:
+                used.add(0)
+            if e[0] < self.degree - s:  # X_N's exponent is implied
+                used.add(N - 1)
+        return tuple(sorted(used))
+
+    def power_push(self, d: int, twisted=None) -> "SlicedForm":
+        """phi_* : the root-of-unity product with exponents divided by d.
+        twisted, as in forms.pushforward_terms, holds every twisted variable
+        the form contains, and the product runs over those alone; None
+        twists all N."""
         if d < 2:
             raise UsageError("power_push needs d >= 2")
         prod = self
-        for var in range(self.N):
+        for var in range(self.N) if twisted is None else twisted:
             acc = prod
             for j in range(1, d):
                 zeta = cmath.exp(2j * cmath.pi * j / d) if d > 2 else -1.0

@@ -12,9 +12,8 @@ from fractions import Fraction as Q
 import mpmath as mp
 
 from relesc.cli import main as cli_main
-from relesc.divisors import (Divisor, MinCritMap, _scaled_estimate,
-                             delta_estimate, delta_relative_critical,
-                             unicritical_map)
+from relesc.divisors import (Divisor, MinCritMap, delta_estimate,
+                             delta_relative_critical, unicritical_map)
 from relesc.forms import power_pullback, power_pushforward
 from relesc.harness import LEMMA_IDS, CONDITIONAL, run_suite
 from relesc.heights import good_reduction, relative_critical_height
@@ -128,7 +127,7 @@ def test_c02_oracle_equivalence():
         m = UnicriticalMap(d, c)
         f = m.to_map()
         D = Divisor.point(Q(0))
-        est = _scaled_estimate(f, D, 20)
+        est = delta_estimate(f, D, 20, INF)
         orc = escape_rate_oracle(m, 20, INF)
         diff = abs(est.value.to_mpf() - orc.value.to_mpf())
         if diff > 1e-6 or diff > est.error.to_mpf() + orc.error.to_mpf() + mp.mpf(1e-6):

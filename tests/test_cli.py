@@ -361,7 +361,7 @@ class TestMandelSlice:
         assert abs(float(rows[0][4]) - 1.151761526693137) < 1e-9
 
     def test_pool_refusal_reaches_handler(self, capsys, mapfile, tmp_path):
-        # N=2, d=3 at depth 6 is refused by scaled_depth before any allocation
+        # N=2, d=3 at depth 6 is past scaled_depth, so every cell is refused
         mapf = mapfile("d3.json", {"N": 2, "d": 3, "A": [["1", "0"], ["0", "1"]],
                                    "b": ["0", "0"]})
         errs = {}

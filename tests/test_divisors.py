@@ -7,7 +7,7 @@ import pytest
 
 from relesc import divisors
 from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _lambda_terms,
-                             _push_raw, _raw_terms, _scaled_estimate,
+                             _push_raw, _raw_terms,
                              canonical_form, critical_divisor, delta_estimate,
                              exact_fits,
                              delta_relative_critical, lambda_local, mu_local,
@@ -215,9 +215,13 @@ class TestLambdaMuTransforms:
 
 class TestDeltaEstimate:
     def test_preperiodic_zero(self):
+        # the default read is in floats at k=30; the exact truncation of
+        # the preperiodic orbit 0 -> -1 -> 0 is 0
         f = unicritical_map(2, Q(-1))
-        est = _scaled_estimate(f, Divisor.point(Q(0)), 30)
-        assert abs(est.value_float()) <= 1e-6
+        est = delta_estimate(f, Divisor.point(Q(0)), 30, INF)
+        exact = delta_estimate(f, Divisor.point(Q(0)), 30, INF, mode="exact")
+        assert est.mode == "scaled" and exact.value.to_mpf() == 0
+        assert abs(est.value_float()) <= 1e-12
 
     def test_escape_rate_c3(self):
         f = unicritical_map(2, Q(3))
@@ -232,26 +236,31 @@ class TestDeltaEstimate:
         # the lower bound (1/2) log 2 is consistent with the critical bound
         assert est.value.to_mpf() >= mp.log(2) / 2 - mp.mpf("1e-30")
 
-    def test_exact_vs_scaled(self):
+    def test_exact_vs_scaled(self, monkeypatch):
+        # with no exact step admitted every step of the default read runs
+        # in floats; f23 at k=2 read 0.30 above the exact value when the
+        # float orbit pushed the product of C_f's components (cancellation
+        # in the twisted product), and reads it now that each component
+        # steps by itself
         f23 = MinCritMap(2, 3, [[Q(2), Q(1)], [Q(1), Q(1)]], [Q(1, 2), Q(-1)])
         cases = [
             (unicritical_map(2, Q(3)), Divisor.point(Q(0)), 8),
             (unicritical_map(3, Q(-2)), Divisor.point(Q(1, 2)), 5),
             (MinCritMap(2, 2, [[Q(1), Q(1)], [Q(0), Q(1)]], [Q(2), Q(-1)]),
              Divisor(HF(3, 1, {(1, 0, 0): Q(1), (0, 1, 0): Q(2), (0, 0, 1): Q(3)})), 3),
-            # one step: at k=2 the scaled value of f23 is 0.30 above the
-            # exact one, float cancellation in the twisted product (the
-            # ball backend of ROADMAP direction 5 is to bound it)
-            (f23, critical_divisor(f23), 1),
+            (f23, critical_divisor(f23), 2),
         ]
-        for f, D, k in cases:
-            e1 = delta_estimate(f, D, k, INF, mode="exact")
-            e2 = _scaled_estimate(f, D, k)
-            assert abs(e1.value_float() - e2.value_float()) <= 1e-9
+        exact = [delta_estimate(f, D, k, INF, mode="exact") for f, D, k in cases]
+        monkeypatch.setattr(divisors, "EXACT_STEP_BITS", 0)
+        for (f, D, k), e1 in zip(cases, exact):
+            e2 = delta_estimate(f, D, k, INF)
+            assert e2.mode == "scaled"
+            assert abs(e1.value_float() - e2.value_float()) <= 1e-12
 
     def test_default_mode_keeps_no_wasted_exact_steps(self, monkeypatch):
         # the iterate at depth 20 is predicted over EXACT_STEP_BITS after
-        # one step, so the estimate turns scaled there, not 19 steps later
+        # one step, so the estimate turns to floats there, not 19 steps
+        # later, and continues the exact orbit from that step
         f = unicritical_map(2, Q(3))
         D = Divisor.point(Q(0))
         calls = []
@@ -265,10 +274,10 @@ class TestDeltaEstimate:
         est = delta_estimate(f, D, 20, INF)
         monkeypatch.undo()
         assert len(calls) <= 1
-        scaled = _scaled_estimate(f, D, 20)
+        exact = delta_estimate(f, D, 20, INF, mode="exact")
         assert est.mode == "scaled"
-        assert est.value.to_mpf() == scaled.value.to_mpf()
-        assert est.error.to_mpf() == scaled.error.to_mpf()
+        assert abs(est.value.to_mpf() - exact.value.to_mpf()) <= 1e-12
+        assert est.error == exact.error
 
     def test_term_count_is_capped_by_the_monomials(self):
         # n2d2-big at suite seed 66008, trial 4: from the 12-term depth-1

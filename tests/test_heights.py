@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import relesc
 from relesc import divisors
-from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _scaled_estimate,
+from relesc.divisors import (Divisor, ExactOrbit, MinCritMap, _components_fit,
                              critical_divisor, delta_estimate, exact_fits,
                              lambda_local, pushforward_map, unicritical_map)
 from relesc.forms import HomogeneousForm as HF
@@ -146,11 +147,8 @@ class TestRelativeCanonicalHeight:
             G = pushforward_map(f, G)
         assert near(g.value, relative_height(G) / mp.mpf(f.d) ** (f.N * k), tol=1e-30)
         assert near(sum(e.value.to_mpf() for e in g.per_place.values()), g.value)
-        # the scaled value at infinity plus the same finite parts
-        scaled = _scaled_estimate(f, D, k)
-        finite = sum(e.value.to_mpf() for v, e in g.per_place.items() if v != "inf")
-        assert abs(g.value - scaled.value.to_mpf() - finite) \
-            <= g.error + scaled.error.to_mpf() + mp.mpf("1e-9")
+        # infinity is delta_estimate's exact read of the same iterate
+        assert g.per_place["inf"] == delta_estimate(f, D, k, INF, mode="exact")
 
     @pytest.mark.parametrize("f, k, mode", [
         (unicritical_map(2, Q(3, 2)), 12, "exact"),
@@ -260,20 +258,25 @@ class TestRelativeCanonicalHeight:
         assert any(w.startswith(f"exact iterate stops at k={est.iterations_used}, "
                                 "over bit budget") for w in g.warnings)
 
-    def test_bad_prime_steps_while_exact_fits(self):
-        # N=2, d=3: the depth-2 iterate fits EXACT_STEP_BITS and the
-        # depth-3 one does not, so p=2 is read at depth 2 (radius 0.616
-        # nats; 1.848 at depth 1).  The size rule chose that depth, so it
-        # is no budget event and adds no warning
+    def test_bad_prime_steps_while_components_fit(self):
+        # N=2, d=3, A=I: C_f's components stay two lines, so their next
+        # step fits EXACT_STEP_BITS at every depth and p=2 is read at the
+        # default k=5 (radius 8/243 log 2, 0.0228 nats), where the product
+        # rule stopped it at depth 2 (0.616): the depth-3 product is
+        # predicted over.  No budget event, so no warning
         f = MinCritMap(2, 3, [[1, 0], [0, 1]], [2, Q(-1, 2)])
         g = relative_critical_height(f, places=[Place(2)])
         est = g.per_place["2"]
-        assert est.iterations_used == 2
-        assert abs(est.error_float() - 0.6161) < 1e-3
+        assert est.iterations_used == 5
+        assert abs(est.error_float() - 8 / 243 * math.log(2)) < 1e-12
+        assert est == delta_estimate(f, critical_divisor(f), 5, Place(2), mode="exact")
         assert g.warnings == []
         orbit = ExactOrbit(f, critical_divisor(f))
+        for _ in range(5):
+            assert _components_fit(f, orbit.components)
+            orbit.step()
+        orbit = ExactOrbit(f, critical_divisor(f))
         orbit.step()
-        assert exact_fits(f, orbit.terms, 1)
         orbit.step()
         assert not exact_fits(f, orbit.terms, 1)
 
@@ -293,14 +296,16 @@ class TestRelativeCanonicalHeight:
             assert inf.error.to_mpf() == exact.error.to_mpf()
 
     def test_component_budget_falls_back_to_the_float_orbit(self, monkeypatch):
-        # components that meet DEFAULT_BIT_BUDGET before k end read 2: both
-        # delta_estimate and the height then read the float orbit from D,
-        # and the height says where its orbit stopped
+        # components that meet DEFAULT_BIT_BUDGET before k end their exact
+        # steps: both delta_estimate and the height then step them on to k
+        # in floats, within 1e-12 of the exact truncation, and the height
+        # says where its orbit stopped
         f = BENCH_LIKE_N2[0]
         C = critical_divisor(f)
+        exact = delta_estimate(f, C, 5, INF, mode="exact").value.to_mpf()
         monkeypatch.setattr(divisors, "DEFAULT_BIT_BUDGET", 2000)
-        want = _scaled_estimate(f, C, 5).value.to_mpf()
-        assert delta_estimate(f, C, 5, INF).value.to_mpf() == want
+        want = delta_estimate(f, C, 5, INF).value.to_mpf()
+        assert abs(want - exact) <= 1e-12
         g = relative_critical_height(f)
         assert g.per_place["inf"].value.to_mpf() == want
         depth = g.per_place["11"].iterations_used
@@ -325,17 +330,29 @@ class TestRelativeCanonicalHeight:
             relative_critical_height(f)
             assert len(calls) == 1
 
+    def test_n1_height_forms_no_product(self, monkeypatch):
+        # d=3: the first exact step at infinity is predicted over, so the
+        # float read starts at D's components, and the bad primes step by
+        # _components_fit and read their carried valuations
+        def refused(*a, **kw):
+            raise AssertionError("_product_raw called")
+
+        monkeypatch.setattr(divisors, "_product_raw", refused)
+        g = relative_critical_height(unicritical_map(3, Q(-7, 2)))
+        assert g.per_place["inf"].mode == "scaled"
+        assert g.per_place["2"].iterations_used == PADIC_K_MAX
+
     def test_bench_like_n2_bad_primes_do_not_warn(self):
         # the size rule, not a budget, stops those primes below k, so
-        # neither warns; infinity reads the float orbit at k and says so
+        # neither warns; infinity reads in floats at k and says so
         for f in BENCH_LIKE_N2:
             g = relative_critical_height(f)
             assert g.warnings == ["scaled at inf: the radius covers the "
                                   "truncation tail, not float rounding"]
 
     def test_n1_bad_primes_stop_at_padic_k_max(self):
-        # PADIC_K_MAX stops these primes, not exact_fits, which admits the
-        # next iterate (the size rule alone would read them at depth 14)
+        # PADIC_K_MAX stops these primes, not _components_fit, which admits
+        # the next step (the size rule alone would read them at depth 14)
         f = unicritical_map(2, Q(-17, 999983 * 1000003))
         g = relative_critical_height(f)
         for p in (999983, 1000003):
@@ -343,7 +360,7 @@ class TestRelativeCanonicalHeight:
         orbit = ExactOrbit(f, critical_divisor(f))
         for _ in range(8):
             orbit.step()
-        assert exact_fits(f, orbit.terms, 1)
+        assert _components_fit(f, orbit.components)
 
     def test_divisor_of_another_dimension_refused(self):
         f = MinCritMap(2, 2, [[1, 0], [0, 1]], [Q(1, 3), Q(1)])

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relesc import divisors
 from relesc.divisors import (SCALED_STEP_BYTES, Divisor, ExactOrbit, MinCritMap,
-                             _scaled_estimate, critical_divisor, delta_estimate,
+                             _float_lam, critical_divisor, delta_estimate,
                              lambda_local, pushforward_map)
 from relesc.forms import (HomogeneousForm as HF, _product_raw, compose_linear,
-                          form_product, power_pushforward)
+                          form_product, power_pushforward, pushforward_terms)
 from relesc.heights import relative_critical_height
 from relesc.places import INF
 from relesc.rational import BitBudgetError, InternalError, UsageError
@@ -219,7 +220,7 @@ def test_mul_linear_is_form_product(N, d):
     lin[-1] = Q(11, 3)
     big = max(abs(c) for c in lin)
     off, coeffs = math.log(big), np.array([float(c / big) for c in lin])
-    S = SlicedForm.from_form(F)
+    S = SlicedForm.from_terms(F.terms)
     P = SlicedForm.from_slab(N, *_mul_linear_rows(*S.to_slab(), off, coeffs))
     L = HF(N + 1, 1, {tuple(int(i == j) for j in range(N + 1)): c
                       for i, c in enumerate(lin)})
@@ -235,7 +236,7 @@ def test_compose_lshape_is_compose_linear(N, d):
     rng = random.Random(200 * N + d)
     F = random_form(rng, N + 1, d)
     M = random_lshape(rng, N + 1)
-    assert_matches(SlicedForm.from_form(F).compose_lshape(M), compose_linear(F, M))
+    assert_matches(SlicedForm.from_terms(F.terms).compose_lshape(M), compose_linear(F, M))
 
 
 @pytest.mark.parametrize("N,d", CASES)
@@ -244,7 +245,29 @@ def test_power_push_is_power_pushforward(N, d):
         return
     rng = random.Random(300 * N + d)
     F = random_form(rng, N + 1, 2)
-    assert_matches(SlicedForm.from_form(F).power_push(d), power_pushforward(F, d))
+    assert_matches(SlicedForm.from_terms(F.terms).power_push(d), power_pushforward(F, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("twisted", [(0,), (1,), (0, 1)])
+def test_power_push_over_twisted_is_pushforward_terms(d, twisted):
+    """power_push over the twisted variables a form contains is the exact
+    pushforward_terms over the same variables, and twisted_vars reads
+    those variables back."""
+    rng = random.Random(10 * d + len(twisted))
+    for degree in (1, 3):
+        terms = {}
+        while not all(any(e[v] for e in terms) for v in twisted):
+            for _ in range(5):
+                e = [0, 0, 0]
+                for _ in range(degree):
+                    e[rng.choice(twisted + (2,))] += 1
+                terms[tuple(e)] = Q(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 4))
+        S = SlicedForm.from_terms(terms)
+        assert S.twisted_vars() == twisted
+        want = HF(3, degree * d ** (len(twisted) - 1),
+                  pushforward_terms(terms, d, 3, twisted))
+        assert_matches(S.power_push(d, twisted), want)
 
 
 @pytest.mark.parametrize("N,d", CASES)
@@ -258,7 +281,7 @@ def test_one_step_lambda_is_exact(N, d):
     b = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(N)]
     f = MinCritMap(N, d, A, b)
     D = critical_divisor(f) if d == 2 else Divisor(random_form(rng, N + 1, 1))
-    S = SlicedForm.from_form(D.form).power_push(d).compose_lshape(f.L_inv)
+    S = SlicedForm.from_terms(D.form.terms).power_push(d).compose_lshape(f.L_inv)
     want = float(lambda_local(pushforward_map(f, D), INF).to_mpf())
     assert abs(S.lam() - want) <= REL_TOL * max(1.0, abs(want))
 
@@ -266,7 +289,7 @@ def test_one_step_lambda_is_exact(N, d):
 def test_sliced_form_refuses_n3():
     F = random_form(random.Random(3), 4, 2)
     with pytest.raises(UsageError, match="N = 1 and 2 only"):
-        SlicedForm.from_form(F)
+        SlicedForm.from_terms(F.terms)
 
 
 # the N = 2 heights of the global-heights benchmark at seeds 11 and 12, and
@@ -283,14 +306,20 @@ N2_D2_MAPS = [
 
 
 @pytest.mark.parametrize("A,b", N2_D2_MAPS)
-def test_float_orbit_within_radius_of_exact(A, b):
-    """At k = 5 the float orbit's rounding (about 1e-2 on these maps) stays
-    inside its radius (about 1.1) around the exact truncation."""
+def test_float_orbit_within_radius_of_exact(A, b, monkeypatch):
+    """At k = 5 the float read with every step in floats (no exact step
+    admitted) is within 1e-10 of the exact truncation (5.1e-12 at most
+    here), far inside its radius (about 1.1): it steps C_f's reduced
+    components, where the float orbit of their product was up to 2.6e-2
+    off on these maps."""
     f = MinCritMap(2, 2, A, list(b))
     C = critical_divisor(f)
-    est = _scaled_estimate(f, C, 5)
     exact = delta_estimate(f, C, 5, INF, mode="exact").value.to_mpf()
-    assert abs(est.value.to_mpf() - exact) <= est.error.to_mpf()
+    monkeypatch.setattr(divisors, "EXACT_STEP_BITS", 0)
+    orbit = ExactOrbit(f, C)
+    est = divisors.infinity_estimate(f, C, orbit, 5)
+    assert orbit.depth == 0 and est.mode == "scaled"
+    assert abs(est.value.to_mpf() - exact) <= 1e-10 < est.error.to_mpf()
 
 
 @pytest.mark.parametrize("d,A,b,k", [(2, A, b, 5) for A, b in N2_D2_MAPS] + [
@@ -308,10 +337,39 @@ def test_float_product_of_components_is_the_exact_product(d, A, b, k):
         orbit.step()
     scale = d ** (2 * k)
     exact = orbit.lam(INF).to_mpf()
-    assert abs(orbit.float_lam() - exact) / scale <= 1e-12
+    assert abs(_float_lam(f, orbit.components, 0) - exact) / scale <= 1e-12
     est = delta_estimate(f, C, k, INF)
     assert est.mode == "scaled" and est.iterations_used == k
     assert abs(est.value.to_mpf() - exact / scale) <= 1e-12
+
+
+# FOUND 51's map (U2 at d = 3; the float orbit from D read 4.5e-2 off at
+# k = 3) and W, the benchmark's W2 word T S T^-1 with T = [[1,1],[0,1]]
+CONTINUED_MAPS = [
+    (3, [[1, 1], [0, 1]], (Q(1, 2), Q(-1, 3)), 3),
+    (2, [[1, -2], [1, -1]], (Q(1, 2), Q(-1, 3)), 5),
+]
+
+
+@pytest.mark.parametrize("d,A,b,k,step_bits", [
+    CONTINUED_MAPS[0] + (None,), CONTINUED_MAPS[1] + (None,), CONTINUED_MAPS[0] + (0,),
+], ids=["U3", "W", "U3-all-float"])
+def test_default_infinity_read_is_the_exact_truncation(d, A, b, k, step_bits,
+                                                       monkeypatch):
+    """The default read at infinity is within 1e-12 of mode="exact" at the
+    escape-rate scale, by the library's rule and, on U3, with no exact
+    step admitted: then every step runs in floats on the reduced
+    components, each with its multiplicity times d^(N - u).  (W's mixed
+    components are float-limited at about 1e-11 that way.)"""
+    f = MinCritMap(2, d, A, list(b))
+    C = critical_divisor(f)
+    exact = delta_estimate(f, C, k, INF, mode="exact")
+    if step_bits is not None:
+        monkeypatch.setattr(divisors, "EXACT_STEP_BITS", step_bits)
+    est = delta_estimate(f, C, k, INF)
+    assert est.mode == "scaled" and est.iterations_used == k
+    assert abs(est.value.to_mpf() - exact.value.to_mpf()) <= 1e-12
+    assert est.error == exact.error
 
 
 @pytest.mark.parametrize("N,m", [(1, 1), (1, 6), (2, 2), (2, 5), (2, 8)])
@@ -362,9 +420,9 @@ def compose_cases(N, d, rng):
     L-shape, an identity A with a zero coordinate in b (so the X_{N+1}
     coefficient of a row is 0) and, for N = 2, a unipotent A."""
     F = random_form(rng, N + 1, d)
-    forms = [SlicedForm.from_form(F),
-             SlicedForm.from_form(random_form(rng, N + 1, 2)).power_push(d),
-             SlicedForm.from_form(sparse_form(rng, N + 1, 14))]
+    forms = [SlicedForm.from_terms(F.terms),
+             SlicedForm.from_terms(random_form(rng, N + 1, 2).terms).power_push(d),
+             SlicedForm.from_terms(sparse_form(rng, N + 1, 14).terms)]
     I = [[Q(int(i == j)) for j in range(N)] for i in range(N)]
     b = [Q(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for _ in range(N)]
     b[rng.randrange(N)] = Q(0)
@@ -392,7 +450,7 @@ def test_slab_sums_parts_in_slice_order(N):
         return
     for seed in range(8):
         rng = random.Random(seed)
-        S = SlicedForm.from_form(sparse_form(rng, N + 1, 14))
+        S = SlicedForm.from_terms(sparse_form(rng, N + 1, 14).terms)
         assert_compose_close(S, random_lshape(rng, N + 1))
 
 
@@ -402,7 +460,7 @@ def test_slab_compose_bits_on_bench_cells(A, b):
     """Every step of d = 2, k = 4 arch-slice cells, two of them the ones the
     benchmark fails and one at 4.8e-7 from its reference."""
     f = MinCritMap(2, 2, [[Q(x) for x in r] for r in A], list(b))
-    S = SlicedForm.from_form(critical_divisor(f).form)
+    S = SlicedForm.from_terms(critical_divisor(f).form.terms)
     for _ in range(4):
         P = S.power_push(2)
         assert_compose_close(P, f.L_inv)
